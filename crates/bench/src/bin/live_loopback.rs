@@ -13,7 +13,7 @@
 //! ```text
 //! cargo run --release -p bench --bin live_loopback -- \
 //!     [--clients 8] [--window 32] [--duration-ms 3000] \
-//!     [--partitions 2] [--replicas 2] [--executor-shards 1] \
+//!     [--partitions 2] [--replicas 2] \
 //!     [--label current] \
 //!     [--out BENCH_live_loopback.json] [--smoke] [--stages] \
 //!     [--baseline BENCH_live_loopback.json] [--tolerance 0.20]
@@ -38,9 +38,8 @@
 //! `--baseline FILE` compares the fresh 64 B, 1 KiB and 8 KiB
 //! throughputs against the committed baseline and exits non-zero if any
 //! dropped more than the tolerance (default 20%) — the CI
-//! perf-regression gate. The 64 B row is the execution-dominated one
-//! the sharded executor (`--executor-shards N`) is meant to move; 1 KiB
-//! is wire-dominated; 8 KiB exercises the large-value path (byte-aware
+//! perf-regression gate. The 64 B row is dominated by per-command
+//! fixed costs; 1 KiB is wire-dominated; 8 KiB exercises the large-value path (byte-aware
 //! batch sealing + concurrent value dissemination). The gate also
 //! covers the mixed sweep's single-partition-routing rows (at 1.5x the
 //! tolerance — they run at the tail of the sweep and swing more).
@@ -82,7 +81,6 @@ const STAGES: &[&str] = &[
 
 struct Outcome {
     payload_bytes: usize,
-    executor_shards: u32,
     /// Single-partition operations completed.
     completed: u64,
     /// Multi-partition (global-ring fanout) operations completed.
@@ -185,7 +183,7 @@ impl Outcome {
         let wire = self.wire();
         format!(
             concat!(
-                "{{\"payload_bytes\": {}, \"executor_shards\": {}, \"completed\": {}, ",
+                "{{\"payload_bytes\": {}, \"completed\": {}, ",
                 "\"elapsed_s\": {:.3}, ",
                 "\"throughput_ops_s\": {:.1}, \"latency_us\": ",
                 "{{\"mean\": {:.1}, \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}}, ",
@@ -193,11 +191,9 @@ impl Outcome {
                 "\"decision_payload_bytes\": {}, \"phase2_msgs\": {}, ",
                 "\"phase2_wire_bytes\": {}, \"phase2_payload_bytes\": {}, ",
                 "\"value_requests\": {}, \"value_push_msgs\": {}, ",
-                "\"value_prefetch_hits\": {}, \"value_pull_misses\": {}}}, ",
-                "\"shards\": {}}}"
+                "\"value_prefetch_hits\": {}, \"value_pull_misses\": {}}}}}"
             ),
             self.payload_bytes,
-            self.executor_shards,
             self.completed,
             self.elapsed.as_secs_f64(),
             self.throughput(),
@@ -215,48 +211,7 @@ impl Outcome {
             wire.value_push_msgs,
             wire_total(&self.nodes, "value_prefetch_hits"),
             wire_total(&self.nodes, "value_pull_misses"),
-            self.shards_json(),
         )
-    }
-
-    /// Per-node executor-shard telemetry: residual hand-off queue depth
-    /// and each shard's execute-latency summary. Inline nodes
-    /// (`executor_shards = 1`) publish no per-shard histograms and are
-    /// skipped, so the array is `[]` for inline runs.
-    fn shards_json(&self) -> String {
-        let mut out = String::from("[");
-        let mut first_node = true;
-        for snap in &self.nodes {
-            let mut shards = String::new();
-            for i in 0usize.. {
-                let Some(h) = snap.hist(&format!("shard{i}_execute_nanos")) else {
-                    break;
-                };
-                if !shards.is_empty() {
-                    shards.push_str(", ");
-                }
-                shards.push_str(&format!(
-                    "\"shard{i}\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                    h.count,
-                    h.p50 as f64 / 1e3,
-                    h.p99 as f64 / 1e3,
-                ));
-            }
-            if shards.is_empty() {
-                continue;
-            }
-            if !first_node {
-                out.push_str(", ");
-            }
-            first_node = false;
-            out.push_str(&format!(
-                "{{\"node\": {}, \"queue_depth\": {}, \"execute\": {{{shards}}}}}",
-                snap.node,
-                snap.gauge("shard_queue_depth").unwrap_or(0),
-            ));
-        }
-        out.push(']');
-        out
     }
 
     /// Per-node per-stage breakdown (only meaningful for traced runs):
@@ -470,14 +425,12 @@ fn run_scenario(
     window: usize,
     duration: Duration,
     trace_sample: u64,
-    executor_shards: u32,
     pin_partition: Option<u16>,
     multi_every: u64,
 ) -> Outcome {
     let text = generate_localhost_mrpstore(partitions, replicas, base_port, None);
     let mut config = DeploymentConfig::parse(&text).expect("generated config parses");
     config.trace_sample = trace_sample;
-    config.executor_shards = executor_shards.max(1);
     let deployment = Deployment::launch(config.clone()).expect("deployment launches");
     let payload = Bytes::from(vec![0x5au8; payload_bytes]);
 
@@ -528,7 +481,6 @@ fn run_scenario(
     deployment.shutdown();
     Outcome {
         payload_bytes,
-        executor_shards: executor_shards.max(1),
         completed,
         multi_completed,
         elapsed,
@@ -548,7 +500,6 @@ fn main() {
     let default_ms = if smoke || stages { 800 } else { 3000 };
     let duration = Duration::from_millis(arg("--duration-ms", default_ms));
     let base_port = arg("--base-port", 26000) as u16;
-    let executor_shards = arg("--executor-shards", 1) as u32;
     let label = arg_str("--label", "current");
     let out = arg_str("--out", "BENCH_live_loopback.json");
     let ports_per_scenario = (partitions * replicas + 2) * 2;
@@ -582,7 +533,6 @@ fn main() {
                 window,
                 duration,
                 0,
-                executor_shards,
                 None,
                 0,
             ));
@@ -595,7 +545,6 @@ fn main() {
                 window,
                 duration,
                 sample,
-                executor_shards,
                 None,
                 0,
             ));
@@ -674,7 +623,6 @@ fn main() {
             window,
             duration,
             0,
-            executor_shards,
             Some(0),
             0,
         );
@@ -773,7 +721,6 @@ fn main() {
             window,
             duration,
             0,
-            executor_shards,
             None,
             0,
         ));
@@ -797,7 +744,6 @@ fn main() {
                 w,
                 duration,
                 0,
-                executor_shards,
                 None,
                 0,
             ),
@@ -817,17 +763,7 @@ fn main() {
         mixed.push((
             p,
             run_scenario(
-                1024,
-                p,
-                replicas,
-                mixed_port,
-                clients,
-                window,
-                duration,
-                0,
-                executor_shards,
-                None,
-                16,
+                1024, p, replicas, mixed_port, clients, window, duration, 0, None, 16,
             ),
         ));
         mixed_port += (p * replicas + 2) * 2;
@@ -837,7 +773,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str(&format!("  \"label\": \"{label}\",\n"));
     json.push_str(&format!(
-        "  \"config\": {{\"partitions\": {partitions}, \"replicas\": {replicas}, \"clients\": {clients}, \"window\": {window}, \"duration_ms\": {}, \"executor_shards\": {executor_shards}}},\n",
+        "  \"config\": {{\"partitions\": {partitions}, \"replicas\": {replicas}, \"clients\": {clients}, \"window\": {window}, \"duration_ms\": {}}},\n",
         duration.as_millis()
     ));
     json.push_str("  \"results\": [\n");
@@ -961,8 +897,8 @@ fn main() {
             .expect("--tolerance is a fraction");
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        // Gate the small-payload row (execution-dominated — the one the
-        // sharded executor moves), the 1 KiB row (wire-dominated), and
+        // Gate the small-payload row (per-command fixed costs), the
+        // 1 KiB row (wire-dominated), and
         // the 8 KiB row (large-value path: byte-aware batch sealing +
         // concurrent value dissemination).
         let mut failed = false;

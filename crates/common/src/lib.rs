@@ -39,7 +39,6 @@
 
 pub mod error;
 pub mod geo;
-pub mod hash;
 pub mod hist;
 pub mod ids;
 pub mod msg;

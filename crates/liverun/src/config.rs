@@ -212,13 +212,6 @@ pub struct DeploymentConfig {
     /// submitted commands with an origin timestamp (`trace_sample`,
     /// 0 disables tracing entirely).
     pub trace_sample: u64,
-    /// Executor shards per node (`executor_shards`): 1 executes
-    /// delivered commands inline on the merge thread (the classic
-    /// stack); >1 splits each node's service state across that many
-    /// worker threads behind the deterministic merge; 0 sizes the
-    /// split to the machine (one shard per available core) — resolve
-    /// through [`DeploymentConfig::resolved_executor_shards`].
-    pub executor_shards: u32,
     /// MRP-Store key placement (`partitioning`): `"hash"` (default) or
     /// `"range"`, which seeds an evenly split key-range table — the
     /// scheme live range migration requires.
@@ -409,7 +402,6 @@ impl DeploymentConfig {
             coord_addrs,
             session_ttl: Duration::from_millis(deployment.int_or("session_ttl_ms", 3000)?),
             trace_sample: deployment.int_or("trace_sample", 0)?,
-            executor_shards: deployment.int_or("executor_shards", 1)? as u32,
             range_partitioned: match deployment.str_or("partitioning", "hash").as_str() {
                 "hash" => false,
                 "range" => true,
@@ -569,19 +561,6 @@ impl DeploymentConfig {
             .find(|p| p.id == partition)
             .map(|p| p.rings.clone())
             .unwrap_or_default()
-    }
-
-    /// The executor shard count nodes actually start with:
-    /// `executor_shards` as configured, or — when it is 0 — one shard
-    /// per core the machine offers this process.
-    pub fn resolved_executor_shards(&self) -> u32 {
-        if self.executor_shards != 0 {
-            self.executor_shards
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        }
     }
 
     /// The partitioning scheme an MRP-Store deployment boots with
@@ -857,17 +836,6 @@ pub fn with_coord(doc: &str, addrs: &[SocketAddr], session_ttl: Duration) -> Str
     )
 }
 
-/// Sets `executor_shards = n` in a deployment document's `[deployment]`
-/// section. Used by tests and the bench to run the same document with
-/// different executor layouts.
-pub fn with_executor_shards(doc: &str, n: u32) -> String {
-    doc.replacen(
-        "[deployment]\n",
-        &format!("[deployment]\nexecutor_shards = {n}\n"),
-        1,
-    )
-}
-
 /// Switches a deployment document to range partitioning (`partitioning
 /// = "range"`) — the scheme live key-range migration requires.
 pub fn with_range_partitioning(doc: &str) -> String {
@@ -1119,5 +1087,18 @@ acceptors = [0]
             assert!(subs.contains(&cfg.global_ring()));
         }
         cfg.build_registry().unwrap();
+    }
+
+    #[test]
+    fn unknown_deployment_keys_are_ignored() {
+        // Documents written for other versions may carry keys this one
+        // does not know (e.g. a retired tuning knob); they still parse.
+        let text = generate_localhost_mrpstore(1, 3, 7450, None).replacen(
+            "[deployment]\n",
+            "[deployment]\nretired_knob = 4\n",
+            1,
+        );
+        assert!(text.contains("retired_knob"));
+        assert_eq!(DeploymentConfig::parse(&text).unwrap().nodes.len(), 3);
     }
 }

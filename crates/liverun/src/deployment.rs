@@ -10,43 +10,41 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::error::{Error, Result};
 use common::ids::NodeId;
+use common::obs::Obs;
 use common::transport::WallClock;
 use coord::{CoordClientOptions, Registry};
-use multiring::{HostOptions, ServiceApp, SessionLimits, ShardPlan};
+use multiring::{HostOptions, ServiceApp, SessionLimits};
 use storage::wal::{SegmentedWal, SyncPolicy};
 
 use crate::batch::BatchOptions;
 use crate::config::{DeploymentConfig, ServiceKind};
 use crate::durable::DurableApp;
 use crate::netem::{Netem, NetemControl};
-use crate::node::{spawn_node, AppStack, NodeHandle, NodeSetup};
+use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
-/// The segment directory holding executor shard `shard`'s
-/// delivered-command WAL for `node`: `<wal_dir>/node-<id>/shard-<k>/`.
-/// Shard 0 is the whole stream when `executor_shards = 1`.
-pub fn shard_wal_dir(wal_dir: &Path, node: NodeId, shard: usize) -> PathBuf {
-    wal_dir
-        .join(format!("node-{}", node.raw()))
-        .join(format!("shard-{shard}"))
+/// The segment directory holding `node`'s delivered-command WAL:
+/// `<wal_dir>/node-<id>/`.
+pub fn node_wal_dir(wal_dir: &Path, node: NodeId) -> PathBuf {
+    wal_dir.join(format!("node-{}", node.raw()))
 }
 
-/// Wraps one (sub-)shard's state in its own rotated, group-committed
-/// WAL when the deployment is durable.
+/// Wraps the node's service stack in its rotated, group-committed WAL
+/// when the deployment is durable. The WAL reports its appends, commit
+/// latency and segment count into the node's `obs`.
 fn durable(
     config: &DeploymentConfig,
     node: NodeId,
-    shard: usize,
     inner: Box<dyn ServiceApp>,
+    obs: &Obs,
 ) -> Result<Box<dyn ServiceApp>> {
     let Some(dir) = &config.wal_dir else {
         return Ok(inner);
     };
-    let seg_dir = shard_wal_dir(dir, node, shard);
+    let seg_dir = node_wal_dir(dir, node);
     // Resume the position counter past everything ever written, so
     // pruning cutoffs and segment names stay monotone across a
     // restart-in-place.
@@ -54,82 +52,41 @@ fn durable(
     // Group commit (one fdatasync per delivered batch) makes the
     // paper's synchronous mode affordable on the delivery path;
     // rotation plus checkpoint-cadence pruning bounds the directory.
-    let wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, config.wal_roll_every)?;
+    let mut wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, config.wal_roll_every)?;
+    wal.instrument(obs);
     Ok(Box::new(DurableApp::with_log(inner, Box::new(wal), start)))
 }
 
-/// Builds the service stack for one node of `config`: per-sub-shard
-/// service states plus the plan routing commands between them, each
-/// sub-shard under its own WAL. With `executor_shards = 1` this
-/// collapses to the classic inline decorator chain.
-fn build_stack(config: &DeploymentConfig, node: NodeId) -> Result<AppStack> {
+/// Builds the service stack for one node of `config`: the service, the
+/// exactly-once session table around it (protocol v2; v1 traffic passes
+/// through untouched), and the WAL outside both, logging the full
+/// delivered stream.
+fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<Box<dyn ServiceApp>> {
     let spec = config
         .node(node)
         .ok_or_else(|| Error::Config(format!("node {node} not in configuration")))?;
-    let shards = config.resolved_executor_shards() as usize;
+    let service: Box<dyn ServiceApp> = match &config.service {
+        ServiceKind::MrpStore { .. } => {
+            let partition = spec
+                .partition
+                .ok_or_else(|| Error::Config(format!("mrpstore node {node} needs a partition")))?;
+            let scheme = config.initial_scheme().expect("mrpstore deployment");
+            Box::new(mrpstore::KvApp::new(partition, scheme))
+        }
+        ServiceKind::Dlog { logs } => {
+            let all: Vec<u16> = (0..*logs).collect();
+            Box::new(dlog::DlogApp::new(&all))
+        }
+        ServiceKind::Echo => Box::new(multiring::EchoApp::new()),
+    };
     // The reply-cache cap tracks the credit window so a full window
     // always fits.
     let limits = SessionLimits {
         max_cached: (config.client_window as usize * 2).max(256),
         ..SessionLimits::default()
     };
-    let (mut inners, plan): (Vec<Box<dyn ServiceApp>>, Arc<dyn ShardPlan>) = match &config.service {
-        ServiceKind::MrpStore { .. } => {
-            let partition = spec
-                .partition
-                .ok_or_else(|| Error::Config(format!("mrpstore node {node} needs a partition")))?;
-            let scheme = config.initial_scheme().expect("mrpstore deployment");
-            // Every sub-shard owns the partition's whole key *predicate*
-            // but only ever sees the keys the plan routes to it, so the
-            // sub-states stay disjoint. Each knows its own hash class:
-            // migration installs fan to every shard and each inserts
-            // only the shipped entries it owns.
-            let inners = (0..shards)
-                .map(|k| {
-                    Box::new(mrpstore::KvApp::new(partition, scheme.clone()).with_shard(k, shards))
-                        as Box<dyn ServiceApp>
-                })
-                .collect();
-            (inners, Arc::new(mrpstore::KvShardPlan::new(shards)))
-        }
-        ServiceKind::Dlog { logs } => {
-            let all: Vec<u16> = (0..*logs).collect();
-            let plan = dlog::DlogShardPlan::new(shards, &all);
-            let inners = (0..shards)
-                .map(|k| {
-                    Box::new(dlog::DlogApp::new(&plan.logs_of_shard(k))) as Box<dyn ServiceApp>
-                })
-                .collect();
-            (inners, Arc::new(plan))
-        }
-        ServiceKind::Echo => (
-            (0..shards)
-                .map(|_| Box::new(multiring::EchoApp::new()) as Box<dyn ServiceApp>)
-                .collect(),
-            Arc::new(multiring::EchoShardPlan::new(shards)),
-        ),
-    };
-    if shards == 1 {
-        // Inline: the session table decorates the service on the node
-        // loop (protocol v2; v1 traffic passes through untouched), the
-        // WAL logs the full delivered stream outside it.
-        let inner = inners.pop().expect("one sub-state");
-        let sessions = Box::new(multiring::SessionApp::with_limits(inner, limits));
-        Ok(AppStack::Inline(durable(config, node, 0, sessions)?))
-    } else {
-        // Sharded: the session table lives in the executor (admission on
-        // the merge thread); each shard stages and fsyncs its own WAL.
-        let shards = inners
-            .into_iter()
-            .enumerate()
-            .map(|(k, inner)| durable(config, node, k, inner))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(AppStack::Sharded {
-            shards,
-            plan,
-            limits,
-        })
-    }
+    let sessions = Box::new(multiring::SessionApp::with_limits(service, limits));
+    durable(config, node, sessions, obs)
 }
 
 /// Host tuning for live deployments: failure detection on (a dead ring
@@ -267,7 +224,7 @@ fn start_node_shaped(
     let member_of = config.member_of(node);
     // One registry per node, shared by every layer of its stack: the
     // same instance rides `host_opts.ring.obs` into the host and rings.
-    let obs = common::obs::Obs::for_node(node.raw());
+    let obs = Obs::for_node(node.raw());
     obs.set_trace_every(config.trace_sample);
     if let Some(nt) = netem {
         // The node's relayed links count their shaping into this
@@ -275,19 +232,6 @@ fn start_node_shaped(
         // node loop spawns, so the first relayed chunk already counts.
         nt.attach_obs(node, obs.clone());
     }
-    // Surface the resolved executor layout: with `executor_shards = 0`
-    // the split is sized to the machine, so record what was picked.
-    let shards = config.resolved_executor_shards();
-    obs.gauge("executor_shards").set(i64::from(shards));
-    eprintln!(
-        "node {}: executor_shards = {shards}{}",
-        node.raw(),
-        if config.executor_shards == 0 {
-            " (auto: one per core)"
-        } else {
-            ""
-        }
-    );
     let mut host_opts = host_options(config);
     host_opts.ring.obs = obs.clone();
     let setup = NodeSetup {
@@ -308,7 +252,8 @@ fn start_node_shaped(
         credit_backlog_high: config.credit_backlog_high,
         obs,
     };
-    spawn_node(setup, build_stack(config, node)?, restart)
+    let app = build_stack(config, node, &setup.obs)?;
+    spawn_node(setup, app, restart)
 }
 
 /// A whole deployment running in this process over localhost TCP.
@@ -397,9 +342,9 @@ impl Deployment {
     /// state is gone. Peers detect the silence and reconfigure the rings
     /// around it (paper §5.1).
     ///
-    /// Every shard WAL lock of the node is verified released before
-    /// returning, so a restart-in-place never races the dying node (or
-    /// its executor shard threads) for the log directories.
+    /// The node's WAL lock is verified released before returning, so a
+    /// restart-in-place never races the dying node for its log
+    /// directory.
     ///
     /// # Errors
     ///
@@ -412,25 +357,16 @@ impl Deployment {
             .ok_or_else(|| Error::Config(format!("node {node} is not running")))?;
         handle.shutdown();
         if let Some(dir) = &self.config.wal_dir {
-            let node_dir = dir.join(format!("node-{}", node.raw()));
-            let locks: Vec<PathBuf> = std::fs::read_dir(&node_dir)
-                .into_iter()
-                .flatten()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-                .map(|e| SegmentedWal::dir_lock_path(e.path()))
-                .collect();
+            let lock = SegmentedWal::dir_lock_path(node_wal_dir(dir, node));
             let deadline = Instant::now() + Duration::from_secs(2);
-            for lock in locks {
-                while lock.exists() {
-                    if Instant::now() >= deadline {
-                        return Err(Error::Storage(format!(
-                            "node {node} wal lock {} survived shutdown",
-                            lock.display()
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
+            while lock.exists() {
+                if Instant::now() >= deadline {
+                    return Err(Error::Storage(format!(
+                        "node {node} wal lock {} survived shutdown",
+                        lock.display()
+                    )));
                 }
+                std::thread::sleep(Duration::from_millis(10));
             }
         }
         Ok(())

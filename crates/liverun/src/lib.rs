@@ -57,7 +57,7 @@ pub use batch::{BatchOptions, Batcher};
 pub use client::{fetch_stats, ClientOptions, Completion, LiveClient};
 pub use config::{DeploymentConfig, GeoSpec, ServiceKind};
 pub use coordsvc::{start_coord_server, CoordServerConfig, CoordServerHandle};
-pub use deployment::{connect_registry, shard_wal_dir, start_node, Deployment};
+pub use deployment::{connect_registry, node_wal_dir, start_node, Deployment};
 pub use durable::{DurableApp, WalRecord};
 pub use netem::{Netem, NetemControl};
 pub use node::{client_node_id, client_of_node, NodeHandle, CLIENT_NODE_BASE};

@@ -20,14 +20,13 @@
 
 use std::collections::HashMap;
 use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use bytes::Bytes;
 use common::error::{Error, Result};
@@ -39,9 +38,7 @@ use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply};
 use common::wire::Wire;
 use coord::Registry;
-use multiring::{
-    HostOptions, MultiRingHost, ReplySink, ServiceApp, SessionLimits, ShardPlan, ShardedExec,
-};
+use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
@@ -65,9 +62,8 @@ pub fn client_of_node(node: NodeId) -> Option<ClientId> {
 pub(crate) enum Event {
     /// A protocol message from a peer (or from this node to itself).
     Peer(NodeId, Msg),
-    /// A client said hello on this node; `v2` marks a protocol-v2
-    /// handshake (replies go out as `ResponseV2`/`ErrorV2` frames).
-    ClientHello(ClientId, ClientWriter, bool),
+    /// A client said hello on this node.
+    ClientHello(ClientId, ClientConn),
     /// A client submitted a v1 command.
     ClientRequest {
         /// The submitting client.
@@ -100,11 +96,14 @@ pub(crate) enum Event {
     Shutdown,
 }
 
-/// One client's connection state at the node loop: its reply writer and
-/// which protocol version the hello negotiated.
+/// One client's connection state at the node loop: its reply writer,
+/// which protocol version the hello negotiated (`v2` replies go out as
+/// `ResponseV2`/`ErrorV2` frames), and a handle on the socket so the
+/// loop can close it when the node stops.
 pub(crate) struct ClientConn {
     writer: ClientWriter,
     v2: bool,
+    socket: TcpStream,
 }
 
 /// Write half of one client connection.
@@ -148,8 +147,9 @@ impl ClientWriter {
 /// the queue is gone or the socket breaks.
 ///
 /// Replies queued behind the first one coalesce into a single
-/// `write_vectored` syscall — under load (many shards finishing at
-/// once) the per-frame write cost amortizes across the burst.
+/// `write_vectored` syscall — under load (a delivered batch answering
+/// many requests at once) the per-frame write cost amortizes across the
+/// burst.
 fn client_writer_loop(
     mut stream: TcpStream,
     rx: Receiver<ClientReply>,
@@ -430,6 +430,17 @@ fn spawn_client_reader(
             Ok(w) => ClientWriter::new(w, obs.counter("writer_vectored_frames")),
             Err(_) => return,
         };
+        let Ok(socket) = stream.try_clone() else {
+            return;
+        };
+        let conn = |v2| {
+            let socket = socket.try_clone().ok()?;
+            Some(ClientConn {
+                writer: writer.clone(),
+                v2,
+                socket,
+            })
+        };
         let mut session: Option<ClientId> = None;
         let mut buf = FrameBuf::new();
         let mut chunk = [0u8; 64 * 1024];
@@ -442,20 +453,16 @@ fn spawn_client_reader(
                         match buf.try_next::<ClientMsg>() {
                             Ok(Some(ClientMsg::Hello { client })) => {
                                 session = Some(client);
-                                if tx
-                                    .send(Event::ClientHello(client, writer.clone(), false))
-                                    .is_err()
-                                {
+                                let Some(conn) = conn(false) else { return };
+                                if tx.send(Event::ClientHello(client, conn)).is_err() {
                                     return;
                                 }
                                 writer.send(&ClientReply::Welcome { node: me });
                             }
                             Ok(Some(ClientMsg::HelloV2 { client, features })) => {
                                 session = Some(client);
-                                if tx
-                                    .send(Event::ClientHello(client, writer.clone(), true))
-                                    .is_err()
-                                {
+                                let Some(conn) = conn(true) else { return };
+                                if tx.send(Event::ClientHello(client, conn)).is_err() {
                                     return;
                                 }
                                 let window = grant.load(Ordering::Relaxed).max(1);
@@ -542,62 +549,6 @@ fn spawn_client_reader(
             let _ = tx.send(Event::ClientGone(client));
         }
     });
-}
-
-/// The service stack one node runs: either the classic inline decorator
-/// chain (everything executes on the node loop) or the sharded runtime —
-/// per-shard sub-states plus the plan that routes commands between them.
-/// Built by the deployment layer from the `executor_shards` config key.
-pub(crate) enum AppStack {
-    /// `executor_shards = 1`: the single-threaded stack.
-    Inline(Box<dyn ServiceApp>),
-    /// `executor_shards > 1`: sub-state `i` (with its own durability
-    /// decorator) executes on executor shard `i`.
-    Sharded {
-        shards: Vec<Box<dyn ServiceApp>>,
-        plan: Arc<dyn ShardPlan>,
-        limits: SessionLimits,
-    },
-}
-
-/// Routes executed replies from executor-shard threads straight to the
-/// owning client connection's writer queue — response framing and the
-/// client lookup happen on the shard's thread, not the merge thread.
-/// Mirrors the client branch of [`route_effects`] exactly.
-struct NodeReplySink {
-    me: NodeId,
-    clients: Arc<Mutex<HashMap<ClientId, ClientConn>>>,
-}
-
-impl ReplySink for NodeReplySink {
-    fn reply(&self, _ring: RingId, env: &Envelope, payload: Bytes) {
-        use common::value::NO_SESSION;
-        let Some(client) = client_of_node(env.reply_to) else {
-            // Not a live client (e.g. a sweep-proposed expiry replying
-            // to the node itself): dropped, same as route_effects.
-            return;
-        };
-        let clients = self.clients.lock();
-        let Some(conn) = clients.get(&client) else {
-            return;
-        };
-        if conn.v2 {
-            conn.writer.send(&ClientReply::ResponseV2 {
-                session: env.session,
-                seq: env.req,
-                from_replica: self.me,
-                payload,
-            });
-        } else if env.session == NO_SESSION {
-            conn.writer.send(&ClientReply::Response {
-                seq: env.req,
-                from_replica: self.me,
-                payload,
-            });
-        }
-        // A sessioned reply to a v1 connection can only be a stale
-        // cross-incarnation straggler: drop it.
-    }
 }
 
 /// Everything needed to (re)build one node's host.
@@ -730,8 +681,9 @@ impl NodeHandle {
     }
 
     /// Stops the node: closes listeners, stops the loop, joins threads.
-    /// Existing peer/client sockets die when their reader threads observe
-    /// the closed channel or socket.
+    /// The loop shuts down every client socket on its way out, ending the
+    /// connections' reader and writer threads; peer sockets die when
+    /// their reader threads observe the closed socket.
     pub fn shutdown(mut self) {
         if let Some(l) = self.peer_listener.take() {
             l.stop();
@@ -751,7 +703,11 @@ impl NodeHandle {
 /// With `restart: true` the host comes up through the crash/recovery path
 /// (rejoin rings, install the freshest checkpoint, catch up from the
 /// acceptors — paper §5.2) instead of the cold-start path.
-pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Result<NodeHandle> {
+pub(crate) fn spawn_node(
+    setup: NodeSetup,
+    app: Box<dyn ServiceApp>,
+    restart: bool,
+) -> Result<NodeHandle> {
     let (tx, rx) = unbounded::<Event>();
 
     let peer_listener = TcpListener::bind(setup.peer_addr)?;
@@ -789,7 +745,13 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
     let loop_tx = tx.clone();
     let join = std::thread::Builder::new()
         .name(format!("amcast-node-{}", setup.me.raw()))
-        .spawn(move || node_loop(setup, stack, restart, rx, loop_tx, grant))
+        .spawn(move || {
+            let mut clients = HashMap::new();
+            node_loop(setup, app, restart, rx, loop_tx, grant, &mut clients);
+            for conn in clients.values() {
+                let _ = conn.socket.shutdown(Shutdown::Both);
+            }
+        })
         .map_err(Error::Io)?;
 
     Ok(NodeHandle {
@@ -801,13 +763,17 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
     })
 }
 
+/// Runs one node until shutdown. `clients` maps each connected client to
+/// its connection; the caller closes what is left in it once the loop
+/// returns.
 fn node_loop(
     setup: NodeSetup,
-    stack: AppStack,
+    app: Box<dyn ServiceApp>,
     restart: bool,
     rx: Receiver<Event>,
     self_tx: Sender<Event>,
     grant: Arc<AtomicU32>,
+    clients: &mut HashMap<ClientId, ClientConn>,
 ) {
     let me = setup.me;
     let clock = setup.clock;
@@ -822,41 +788,15 @@ fn node_loop(
         }
     }
     let obs = setup.obs.clone();
-    // The client map is shared with executor-shard threads (when
-    // sharded): shards frame and enqueue replies themselves, so a reply
-    // never crosses back through the node loop.
-    let clients: Arc<Mutex<HashMap<ClientId, ClientConn>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut host = match stack {
-        AppStack::Inline(app) => MultiRingHost::new(
-            me,
-            setup.registry.clone(),
-            &setup.member_of,
-            &setup.subscribe_to,
-            setup.partition,
-            app,
-            setup.host_opts,
-        ),
-        AppStack::Sharded {
-            shards,
-            plan,
-            limits,
-        } => {
-            let sink = Arc::new(NodeReplySink {
-                me,
-                clients: Arc::clone(&clients),
-            });
-            let exec = ShardedExec::new(shards, plan, limits, sink, &obs, 1024);
-            MultiRingHost::new_sharded(
-                me,
-                setup.registry.clone(),
-                &setup.member_of,
-                &setup.subscribe_to,
-                setup.partition,
-                exec,
-                setup.host_opts,
-            )
-        }
-    };
+    let mut host = MultiRingHost::new(
+        me,
+        setup.registry.clone(),
+        &setup.member_of,
+        &setup.subscribe_to,
+        setup.partition,
+        app,
+        setup.host_opts,
+    );
     let mut transport = PeerTransport {
         me,
         addrs: setup.peer_addrs,
@@ -871,7 +811,6 @@ fn node_loop(
     let reply_queue_depth = obs.gauge("reply_queue_depth");
     let session_count = obs.gauge("session_count");
     let session_cached_replies = obs.gauge("session_cached_replies");
-    let shard_queue_depth = obs.gauge("shard_queue_depth");
     let mut batcher = Batcher::new(setup.batch_opts);
     // Credit controller: backlog threshold defaults to four full batches
     // of headroom when the config leaves it at 0.
@@ -912,7 +851,7 @@ fn node_loop(
                 &mut outbox,
                 &mut timer_reqs,
                 &mut transport,
-                &clients,
+                clients,
                 &self_tx,
                 &mut timers,
                 &clock,
@@ -947,11 +886,11 @@ fn node_loop(
                 Event::Peer(from, msg) => {
                     with_ctx!(|ctx| host.on_message(from, msg, &mut ctx));
                 }
-                Event::ClientHello(client, writer, v2) => {
-                    clients.lock().insert(client, ClientConn { writer, v2 });
+                Event::ClientHello(client, conn) => {
+                    clients.insert(client, conn);
                 }
                 Event::ClientGone(client) => {
-                    clients.lock().remove(&client);
+                    clients.remove(&client);
                 }
                 Event::ClientRequest {
                     client,
@@ -963,7 +902,7 @@ fn node_loop(
                         // Fail fast instead of silently dropping: the client
                         // can re-route immediately rather than burn its
                         // timeout (the wire protocol's documented Error path).
-                        if let Some(conn) = clients.lock().get(&client) {
+                        if let Some(conn) = clients.get(&client) {
                             conn.writer.send(&common::wire::client::ClientReply::Error {
                                 seq,
                                 reason: format!("node {me} does not serve group {group}"),
@@ -990,7 +929,7 @@ fn node_loop(
                         // v2: point the client at a node that serves the
                         // group instead of making it guess (or silently
                         // proxying on its behalf).
-                        if let Some(conn) = clients.lock().get(&client) {
+                        if let Some(conn) = clients.get(&client) {
                             let target =
                                 setup.registry.ring(group).ok().and_then(|cfg| {
                                     cfg.members().iter().copied().find(|m| *m != me)
@@ -1080,57 +1019,48 @@ fn node_loop(
             next_session_sweep = Instant::now() + Duration::from_secs(1);
             // Periodic gauges ride the sweep's once-a-second cadence.
             batcher_depth.set(batcher.pending_len() as i64);
-            reply_queue_depth.set(
-                clients
-                    .lock()
-                    .values()
-                    .map(|c| c.writer.queued() as i64)
-                    .sum(),
-            );
-            session_count.set(host.session_ids().len() as i64);
-            session_cached_replies.set(host.cached_reply_count() as i64);
-            shard_queue_depth.set(host.executor_queue_depth() as i64);
-            {
-                let now = Instant::now();
-                let ids = host.session_ids();
-                session_seen.retain(|id, _| ids.contains(id));
-                for id in ids {
-                    // Expiries ride the session's own home ring (encoded
-                    // in the id), proposed only by that ring's members —
-                    // a session on partition 0's ring never costs the
-                    // other rings an ordered message.
-                    let Some(ring) =
-                        multiring::session_home_ring(id).filter(|r| setup.member_of.contains(r))
-                    else {
-                        continue;
+            reply_queue_depth.set(clients.values().map(|c| c.writer.queued() as i64).sum());
+            let ids = host.app().session_ids();
+            session_count.set(ids.len() as i64);
+            session_cached_replies.set(host.app().cached_reply_count() as i64);
+            let now = Instant::now();
+            session_seen.retain(|id, _| ids.contains(id));
+            for id in ids {
+                // Expiries ride the session's own home ring (encoded
+                // in the id), proposed only by that ring's members —
+                // a session on partition 0's ring never costs the
+                // other rings an ordered message.
+                let Some(ring) =
+                    multiring::session_home_ring(id).filter(|r| setup.member_of.contains(r))
+                else {
+                    continue;
+                };
+                let Some((refresh, ttl_ms)) = host.app().session_probe(id) else {
+                    continue;
+                };
+                let entry = session_seen.entry(id).or_insert((refresh, now));
+                if entry.0 != refresh {
+                    *entry = (refresh, now);
+                } else if now.duration_since(entry.1) > Duration::from_millis(ttl_ms.max(1)) {
+                    expire_seq += 1;
+                    let env = Envelope {
+                        client: ClientId::new(0),
+                        req: RequestId::new(expire_seq),
+                        // Replies route back to this node's own loop,
+                        // where client-less responses are dropped.
+                        reply_to: me,
+                        session: common::value::SESSION_CTL,
+                        ack: 0,
+                        trace: 0,
+                        cmd: multiring::session::SessionCtl::Expire {
+                            session: id,
+                            seen_refresh: refresh,
+                        }
+                        .to_bytes(),
                     };
-                    let Some((refresh, ttl_ms)) = host.session_probe(id) else {
-                        continue;
-                    };
-                    let entry = session_seen.entry(id).or_insert((refresh, now));
-                    if entry.0 != refresh {
-                        *entry = (refresh, now);
-                    } else if now.duration_since(entry.1) > Duration::from_millis(ttl_ms.max(1)) {
-                        expire_seq += 1;
-                        let env = Envelope {
-                            client: ClientId::new(0),
-                            req: RequestId::new(expire_seq),
-                            // Replies route back to this node's own loop,
-                            // where client-less responses are dropped.
-                            reply_to: me,
-                            session: common::value::SESSION_CTL,
-                            ack: 0,
-                            trace: 0,
-                            cmd: multiring::session::SessionCtl::Expire {
-                                session: id,
-                                seen_refresh: refresh,
-                            }
-                            .to_bytes(),
-                        };
-                        with_ctx!(|ctx| host.propose_envelopes(ring, vec![env], &mut ctx));
-                        // Back off a full TTL before re-proposing.
-                        entry.1 = now;
-                    }
+                    with_ctx!(|ctx| host.propose_envelopes(ring, vec![env], &mut ctx));
+                    // Back off a full TTL before re-proposing.
+                    entry.1 = now;
                 }
             }
         }
@@ -1140,17 +1070,13 @@ fn node_loop(
             next_credit_tick = Instant::now() + CREDIT_TICK;
             let backlog = batcher.pending_len() as i64 + rx.len() as i64;
             batcher_depth.set(batcher.pending_len() as i64);
-            let reply_backlog: i64 = clients
-                .lock()
-                .values()
-                .map(|c| c.writer.queued() as i64)
-                .sum();
+            let reply_backlog: i64 = clients.values().map(|c| c.writer.queued() as i64).sum();
             reply_queue_depth.set(reply_backlog);
             let w = credit.tick(backlog, reply_backlog, &wal_commit.snapshot());
             if w != grant.load(Ordering::Relaxed) {
                 grant.store(w, Ordering::Relaxed);
                 credit_window.set(w as i64);
-                for conn in clients.lock().values() {
+                for conn in clients.values() {
                     if conn.v2 {
                         conn.writer.send(&ClientReply::CreditGrant { window: w });
                     }
@@ -1180,7 +1106,7 @@ fn route_effects(
     outbox: &mut Vec<(NodeId, Msg)>,
     timer_reqs: &mut Vec<(common::SimTime, Timer)>,
     transport: &mut PeerTransport,
-    clients: &Mutex<HashMap<ClientId, ClientConn>>,
+    clients: &HashMap<ClientId, ClientConn>,
     self_tx: &Sender<Event>,
     timers: &mut TimerHeap<Timer>,
     clock: &WallClock,
@@ -1202,7 +1128,7 @@ fn route_effects(
             // Client not connected here (or gone): reply dropped, exactly
             // like the paper's UDP responses; the client retries (safely,
             // under v2 — retries are deduplicated).
-            if let Some(conn) = clients.lock().get(&client) {
+            if let Some(conn) = clients.get(&client) {
                 if conn.v2 {
                     conn.writer.send(&ClientReply::ResponseV2 {
                         session,

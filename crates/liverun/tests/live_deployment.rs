@@ -53,13 +53,12 @@ fn mrpstore_put_get_scan_over_tcp() {
 
     // Replicas of the same partition must have recorded identical
     // delivered sequences in their WALs (nodes 0,1 = partition 0; nodes
-    // 2,3 = partition 1 in the generated layout). With the default
-    // `executor_shards = 1` the whole stream lives in shard 0's
+    // 2,3 = partition 1 in the generated layout), each in its node's
     // segment directory.
     use common::ids::NodeId;
     for pair in [[0u32, 1u32], [2, 3]] {
         let replay = |n: u32| -> Vec<(u64, liverun::WalRecord)> {
-            storage::wal::SegmentedWal::replay(liverun::shard_wal_dir(&wal_dir, NodeId::new(n), 0))
+            storage::wal::SegmentedWal::replay(liverun::node_wal_dir(&wal_dir, NodeId::new(n)))
                 .unwrap()
         };
         let a = replay(pair[0]);
@@ -70,19 +69,23 @@ fn mrpstore_put_get_scan_over_tcp() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// Satellite of the rotated-WAL port: a durable deployment with an
-/// aggressive segment-roll cadence rotates its delivered-command logs,
-/// prunes them at checkpoint cuts, and a killed replica restarts in
-/// place *over the rotated directory*, resuming its position counter
-/// past everything ever written.
+/// A durable deployment with an aggressive segment-roll cadence rotates
+/// its delivered-command logs, prunes them at checkpoint cuts, and a
+/// killed non-coordinator replica restarts in place *over the rotated
+/// directory*, resuming its position counter past everything ever
+/// written. The recovered replica answers a non-idempotent counter with
+/// the exact total (no lost and no double-executed increment across the
+/// kill) and serves its part of a multi-partition scan; the WAL reports
+/// its group commits into the stats plane.
 #[test]
 fn restart_in_place_over_rotated_wal_dir() {
-    use common::ids::NodeId;
+    use common::ids::{NodeId, RingId};
+    use mrpstore::{KvCommand, Partitioning};
     use storage::wal::SegmentedWal;
 
     let wal_dir = std::env::temp_dir().join(format!("liverun-rotwal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let text = generate_localhost_mrpstore(1, 3, base_port(100), wal_dir.to_str()).replacen(
+    let text = generate_localhost_mrpstore(2, 3, base_port(100), wal_dir.to_str()).replacen(
         "[deployment]\n",
         "[deployment]\nwal_roll_every = 8\n",
         1,
@@ -92,6 +95,17 @@ fn restart_in_place_over_rotated_wal_dir() {
     let mut deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(&config, ClientId::new(11), client_opts()).unwrap();
 
+    // A counter key owned by the victim's partition (0), incremented
+    // through the v2 session — the non-idempotent probe for
+    // double-execution.
+    let scheme = Partitioning::Hash { partitions: 2 };
+    let counter: String = (0..)
+        .map(|i| format!("ctr{i}"))
+        .find(|k| scheme.partition_of(k).raw() == 0)
+        .unwrap();
+    for _ in 0..8 {
+        client.add(&counter, 1).unwrap();
+    }
     for i in 0..40 {
         assert_eq!(
             client
@@ -106,7 +120,7 @@ fn restart_in_place_over_rotated_wal_dir() {
     // already dropped the oldest ones and the first surviving segment
     // starts past position 0 (segment names carry their first position).
     let victim = NodeId::new(2);
-    let victim_dir = liverun::shard_wal_dir(&wal_dir, victim, 0);
+    let victim_dir = liverun::node_wal_dir(&wal_dir, victim);
     let segments = SegmentedWal::segments(&victim_dir);
     let first_pos = segments
         .first()
@@ -126,6 +140,17 @@ fn restart_in_place_over_rotated_wal_dir() {
     let pre_end = SegmentedWal::end_pos(&victim_dir).unwrap();
     assert!(pre_end > 0);
 
+    // The node's WAL reports its group commits into the stats plane.
+    let stats = liverun::fetch_stats(config.nodes[2].client_addr, Duration::from_secs(5)).unwrap();
+    assert!(
+        stats.counter("wal_appends").unwrap_or(0) > 0,
+        "wal_appends stayed 0"
+    );
+    assert!(
+        stats.hist("wal_commit_nanos").map_or(0, |h| h.count) > 0,
+        "wal_commit_nanos recorded no commit"
+    );
+
     deployment.kill(victim).unwrap();
     for i in 0..10 {
         assert_eq!(
@@ -135,8 +160,14 @@ fn restart_in_place_over_rotated_wal_dir() {
             KvResponse::Ok
         );
     }
+    for _ in 0..7 {
+        client.add(&counter, 1).unwrap();
+    }
     deployment.restart(victim).unwrap();
     client.raw().reconnect(victim).unwrap();
+    for _ in 0..5 {
+        client.add(&counter, 1).unwrap();
+    }
 
     // The recovered replica serves fresh reads...
     let raw = client
@@ -155,6 +186,47 @@ fn restart_in_place_over_rotated_wal_dir() {
         KvResponse::Value(Some(Bytes::from(vec![9]))),
         "recovered replica must serve post-crash writes"
     );
+    // ...answers the counter total from its own recovered state...
+    let total: u64 = 8 + 7 + 5;
+    let raw = client
+        .raw()
+        .request_from(
+            RingId::new(0),
+            KvCommand::Read {
+                key: counter.clone(),
+            }
+            .to_bytes(),
+            victim,
+        )
+        .unwrap();
+    assert_eq!(
+        KvResponse::decode(&mut raw.clone()).unwrap(),
+        KvResponse::Value(Some(Bytes::copy_from_slice(&total.to_le_bytes()))),
+        "restarted replica must recover the exactly-once counter"
+    );
+    // ...and serves its partition's part of a scan ordered on the global
+    // ring, while the merged scan still sees every partition.
+    let scan = KvCommand::Scan {
+        from: "rot".into(),
+        to: "rou".into(),
+    };
+    let raw = client
+        .raw()
+        .request_from(config.global_ring(), scan.to_bytes(), victim)
+        .unwrap();
+    let own: Vec<String> = (0..40)
+        .map(|i| format!("rot{i:02}"))
+        .filter(|k| scheme.partition_of(k).raw() == 0)
+        .collect();
+    match KvResponse::decode(&mut raw.clone()).unwrap() {
+        KvResponse::Entries(entries) => assert_eq!(
+            entries.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            own,
+            "recovered replica's scan partial"
+        ),
+        other => panic!("unexpected scan reply {other:?}"),
+    }
+    assert_eq!(client.scan("rot", "rou").unwrap().len(), 40);
     deployment.shutdown();
 
     // ...and its reopened log resumed *past* the pre-kill positions:
@@ -628,112 +700,49 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
     deployment.shutdown();
 }
 
-/// The sharded runtime under the exactly-once acceptance: with
-/// `executor_shards = 4` a replica is killed mid-run and restarted in
-/// place. The recovered node must agree with its peers on the
-/// non-idempotent counter (session table and state ride the checkpoint —
-/// no lost and no double-executed increment), serve cross-shard scans,
-/// and resume each of its per-shard WAL cursors monotonically.
+/// Stopping a deployment closes its client connections: a connected
+/// client reads EOF promptly instead of holding a socket (and the
+/// node's reader and writer threads behind it) open forever.
 #[test]
-fn sharded_executor_restart_in_place_is_exactly_once() {
-    use common::ids::{NodeId, RingId};
-    use liverun::config::with_executor_shards;
-    use mrpstore::{KvCommand, Partitioning};
-    use storage::wal::SegmentedWal;
+fn shutdown_closes_client_sockets() {
+    use common::transport::{encode_frame, FrameBuf};
+    use common::wire::client::{ClientMsg, ClientReply};
+    use std::io::{Read, Write};
 
-    let wal_dir = std::env::temp_dir().join(format!("liverun-shardwal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let text = with_executor_shards(
-        &generate_localhost_mrpstore(2, 3, base_port(120), wal_dir.to_str()),
-        4,
-    );
+    let text = generate_localhost_mrpstore(1, 3, base_port(120), None);
     let config = DeploymentConfig::parse(&text).unwrap();
-    assert_eq!(config.executor_shards, 4);
-    let mut deployment = Deployment::launch(config.clone()).unwrap();
-    let mut client = StoreClient::connect(&config, ClientId::new(21), client_opts()).unwrap();
-
-    // A counter key owned by partition 0, incremented through the v2
-    // session — the non-idempotent probe for double-execution.
-    let scheme = Partitioning::Hash { partitions: 2 };
-    let key: String = (0..)
-        .map(|i| format!("sctr{i}"))
-        .find(|k| scheme.partition_of(k).raw() == 0)
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut stream = std::net::TcpStream::connect(config.nodes[0].client_addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    for _ in 0..8 {
-        client.add(&key, 1).unwrap();
+    let hello = ClientMsg::HelloV2 {
+        client: ClientId::new(31),
+        features: 0,
+    };
+    stream.write_all(&encode_frame(&hello)).unwrap();
+    // The welcome proves the node loop has the connection registered
+    // ahead of the shutdown event.
+    let mut buf = FrameBuf::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut chunk).expect("welcome within 2 s");
+        assert!(n > 0, "closed before the welcome");
+        buf.extend(&chunk[..n]);
+        if let Some(ClientReply::WelcomeV2 { .. }) = buf.try_next::<ClientReply>().unwrap() {
+            break;
+        }
     }
-    // Spread writes across every executor shard of both partitions.
-    for i in 0..24 {
-        assert_eq!(
-            client
-                .insert(&format!("sh{i:02}"), Bytes::from(vec![i as u8]))
-                .unwrap(),
-            KvResponse::Ok
-        );
-    }
-
-    let victim = NodeId::new(2);
-    let pre_ends: Vec<u64> = (0..4)
-        .map(|k| SegmentedWal::end_pos(liverun::shard_wal_dir(&wal_dir, victim, k)).unwrap())
-        .collect();
-    deployment.kill(victim).unwrap();
-
-    // Increments and writes continue while the replica is down.
-    for _ in 0..7 {
-        client.add(&key, 1).unwrap();
-    }
-    deployment.restart(victim).unwrap();
-    client.raw().reconnect(victim).unwrap();
-
-    // Post-restart increments land exactly once.
-    for _ in 0..5 {
-        client.add(&key, 1).unwrap();
-    }
-
-    // Cross-shard barrier after recovery: the scan merges every shard of
-    // every partition (and, being Route::All, lands one post-restart
-    // record in every shard WAL of the recovered node).
-    let entries = client.scan("sh", "").unwrap();
-    assert_eq!(entries.len(), 24, "scan merged all executor shards");
-
-    // The *recovered* replica answers the counter total from its own
-    // sharded state. Ring delivery is totally ordered, so the victim
-    // answering this read (proposed after the scan) proves it has
-    // dispatched the scan to all four of its executor shards; shutdown
-    // then joins the shard threads, flushing their WALs.
-    let total: u64 = 8 + 7 + 5;
-    let read = KvCommand::Read { key: key.clone() }.to_bytes();
-    let raw = client
-        .raw()
-        .request_from(RingId::new(0), read, victim)
-        .unwrap();
-    assert_eq!(
-        KvResponse::decode(&mut raw.clone()).unwrap(),
-        KvResponse::Value(Some(Bytes::copy_from_slice(&total.to_le_bytes()))),
-        "restarted sharded replica must recover the exactly-once counter"
-    );
 
     deployment.shutdown();
-
-    // Every shard WAL cursor resumed past its pre-kill end — positions
-    // stay strictly monotone per shard, never reused.
-    for (k, pre_end) in pre_ends.iter().enumerate() {
-        let dir = liverun::shard_wal_dir(&wal_dir, victim, k);
-        let positions: Vec<u64> = SegmentedWal::replay::<liverun::WalRecord>(&dir)
-            .unwrap()
-            .iter()
-            .map(|(p, _)| *p)
-            .collect();
-        assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "shard {k} positions must stay strictly monotone across restart"
-        );
-        assert!(
-            positions.last().copied().unwrap_or(0) >= *pre_end,
-            "shard {k} cursor resumed below its pre-kill end"
-        );
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(_) => assert!(std::time::Instant::now() < deadline, "no EOF within 2 s"),
+            Err(e) => panic!("no EOF within 2 s of shutdown: {e}"),
+        }
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Live key-range migration under load: a range moves from partition 0

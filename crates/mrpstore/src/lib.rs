@@ -3,10 +3,8 @@
 
 pub mod command;
 pub mod partitioning;
-pub mod sharding;
 pub mod store;
 
 pub use command::{KvCommand, KvResponse};
 pub use partitioning::Partitioning;
-pub use sharding::KvShardPlan;
 pub use store::KvApp;

@@ -45,11 +45,6 @@ pub struct KvApp {
     /// [`KvResponse::Moved`] so clients know how fresh a redirect is.
     scheme_version: u64,
     frozen: Option<FrozenRange>,
-    /// This instance's executor sub-shard `(index, count)` — `(0, 1)`
-    /// when unsharded. Migration installs are fanned to every sub-shard
-    /// of the target partition; each inserts only its own hash class,
-    /// keeping shard contents disjoint.
-    shard: (usize, usize),
     data: BTreeMap<String, Bytes>,
 }
 
@@ -61,16 +56,8 @@ impl KvApp {
             scheme,
             scheme_version: 0,
             frozen: None,
-            shard: (0, 1),
             data: BTreeMap::new(),
         }
-    }
-
-    /// Marks this instance as executor sub-shard `index` of `count`
-    /// (must match the deployment's `KvShardPlan`).
-    pub fn with_shard(mut self, index: usize, count: usize) -> Self {
-        self.shard = (index, count.max(1));
-        self
     }
 
     /// The current partition-map version (diagnostics/tests).
@@ -108,11 +95,6 @@ impl KvApp {
 
     fn owns(&self, key: &str) -> bool {
         self.scheme.partition_of(key) == self.partition
-    }
-
-    /// This sub-shard's slice of a key set (everything, when unsharded).
-    fn in_shard(&self, key: &str) -> bool {
-        crate::sharding::shard_of_key(key, self.shard.1) == self.shard.0
     }
 
     /// The redirect for a key this partition does not own under the
@@ -266,9 +248,7 @@ impl KvApp {
                 }
                 if self.partition.raw() == *target {
                     for (k, v) in entries {
-                        if self.in_shard(k) {
-                            self.data.insert(k.clone(), Bytes::copy_from_slice(v));
-                        }
+                        self.data.insert(k.clone(), Bytes::copy_from_slice(v));
                     }
                 }
                 if *last {

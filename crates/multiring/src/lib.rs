@@ -23,7 +23,6 @@
 
 pub mod app;
 pub mod client;
-pub mod exec;
 pub mod host;
 pub mod merge;
 pub mod recovery;
@@ -32,7 +31,6 @@ pub mod session;
 
 pub use app::{ChainCut, EagerCut, EchoApp, ServiceApp, SnapshotCut};
 pub use client::{ClientStats, ClosedLoopClient, CommandGen, SharedClientStats};
-pub use exec::{EchoShardPlan, ReplySink, Route, ShardPlan, ShardedExec};
 pub use host::{HostOptions, MultiRingHost};
 pub use merge::MergeLearner;
 pub use route::Destination;

@@ -2,9 +2,9 @@
 //!
 //! The paper's scalability argument (§3) rests on *genuineness*: a
 //! multicast to groups `g ⊆ Γ` involves only the rings of `g`. This
-//! module hoists the partition-extraction logic (previously buried in the
-//! per-service shard plans) into a trait the client/session layer can
-//! consult **before** choosing a ring, so single-partition commands ride
+//! module puts the partition-extraction logic into a trait the
+//! client/session layer can consult **before** choosing a ring, so
+//! single-partition commands ride
 //! that partition's own ring and only multi-partition commands touch a
 //! shared ring.
 

@@ -14,18 +14,14 @@
 //! from a checkpoint cut at instance *k* replays exactly the commands
 //! after *k* against a table that is also cut at *k*.
 //!
-//! ## One table, two execution engines
+//! ## Admission and execution
 //!
 //! The session bookkeeping itself is factored into `SessionTable`: a
 //! pure, ordered admission core that decides — in delivery order — what
 //! each envelope *is* (fresh execution, cached retry, stale, refused)
-//! without executing anything. [`SessionApp`] drives it inline (the
-//! classic single-threaded stack); the sharded executor
-//! ([`crate::exec::ShardedExec`]) drives the same table from the merge
-//! thread and hands the actual execution to per-partition shards. Cached
-//! replies are held as [`ReplySlot`]s — single-assignment cells that the
-//! executing side fills — so an admission decision never has to wait for
-//! the execution it admitted.
+//! without executing anything. [`SessionApp`] executes what the table
+//! admits through the inner service, on the delivery thread, and caches
+//! the framed reply for retries.
 //!
 //! ## Session identity: ring-homed ids
 //!
@@ -65,7 +61,6 @@
 //! deterministic least-recently-used eviction.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use common::error::WireError;
@@ -259,60 +254,6 @@ impl Default for SessionLimits {
     }
 }
 
-/// A single-assignment reply cell shared between the session table (the
-/// admission side) and whoever executes the admitted command.
-///
-/// Inline execution fills the slot synchronously, so readers never wait.
-/// Under the sharded executor a slot may be observed *before* its
-/// execution finished — a retried request racing its original down a
-/// different shard queue — and [`ReplySlot::wait`] blocks until the
-/// executing shard fills it. Filling is idempotent in effect (a slot is
-/// only ever filled once, by the single executor that owns the command).
-#[derive(Clone, Debug, Default)]
-pub struct ReplySlot(Arc<SlotCell>);
-
-#[derive(Debug, Default)]
-struct SlotCell {
-    reply: Mutex<Option<Bytes>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    /// An empty slot awaiting its reply.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A slot born filled (snapshot restore, inline execution).
-    pub fn filled(reply: Bytes) -> Self {
-        ReplySlot(Arc::new(SlotCell {
-            reply: Mutex::new(Some(reply)),
-            ready: Condvar::new(),
-        }))
-    }
-
-    /// Fills the slot and wakes every waiter.
-    pub fn fill(&self, reply: Bytes) {
-        let mut guard = self.0.reply.lock().expect("reply slot lock");
-        *guard = Some(reply);
-        self.0.ready.notify_all();
-    }
-
-    /// Blocks until the slot is filled and returns the reply.
-    pub fn wait(&self) -> Bytes {
-        let mut guard = self.0.reply.lock().expect("reply slot lock");
-        while guard.is_none() {
-            guard = self.0.ready.wait(guard).expect("reply slot lock");
-        }
-        guard.clone().expect("slot filled")
-    }
-
-    /// The reply, if already filled.
-    pub fn try_get(&self) -> Option<Bytes> {
-        self.0.reply.lock().expect("reply slot lock").clone()
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 struct SessionState {
     /// Highest seq the client confirmed receiving replies for.
@@ -323,30 +264,27 @@ struct SessionState {
     last_tick: u64,
     /// TTL the session was opened with.
     ttl_ms: u64,
-    /// Cached (or in-flight, under the sharded executor) replies for
-    /// executed seqs above `ack`.
-    executed: BTreeMap<u64, ReplySlot>,
+    /// Cached framed replies for executed seqs above `ack`.
+    executed: BTreeMap<u64, Bytes>,
 }
 
 /// What the ordered admission core decided about one sessioned envelope.
-pub(crate) enum Admission {
+enum Admission {
     /// Answer with this payload immediately; nothing executes (unknown
     /// session, stale seq, window refusal).
     Reply(Bytes),
-    /// A retry of an already-admitted seq: answer from this cached slot
-    /// (which may still be in flight under the sharded executor).
-    Cached(ReplySlot),
-    /// A fresh seq: execute the command and fill this slot (already
-    /// inserted into the reply cache) with the framed reply.
-    Execute(ReplySlot),
+    /// A retry of an already-executed seq: answer with this cached reply.
+    Cached(Bytes),
+    /// A fresh seq: execute the command, then cache the framed reply
+    /// with [`SessionTable::record`].
+    Execute,
 }
 
 /// The ordered admission core of the exactly-once table: every decision
 /// that must be made in delivery order — id allocation, ack pruning,
 /// dedup lookups, window checks, liveness control, LRU eviction — with
-/// execution itself left to the caller. Both the inline [`SessionApp`]
-/// and the sharded executor are thin drivers around this.
-pub(crate) struct SessionTable {
+/// execution itself left to the caller ([`SessionApp`]).
+struct SessionTable {
     limits: SessionLimits,
     /// Next session counter per home ring (counters start at 1; the full
     /// id is [`compose_session_id`]`(ring, counter)`). Per-ring counters
@@ -362,14 +300,14 @@ pub(crate) struct SessionTable {
 
 /// Decoded snapshot fields of a [`SessionTable`] (limits are config, not
 /// state, and are never serialized).
-pub(crate) struct TableImage {
+struct TableImage {
     next_ids: BTreeMap<RingId, u64>,
     tick: u64,
     sessions: BTreeMap<u64, SessionState>,
 }
 
 impl SessionTable {
-    pub(crate) fn new(limits: SessionLimits) -> Self {
+    fn new(limits: SessionLimits) -> Self {
         SessionTable {
             limits,
             next_ids: BTreeMap::new(),
@@ -380,11 +318,11 @@ impl SessionTable {
 
     /// Advances the deterministic logical clock; call once per delivered
     /// envelope, before admission.
-    pub(crate) fn tick(&mut self) {
+    fn tick(&mut self) {
         self.tick += 1;
     }
 
-    pub(crate) fn session_count(&self) -> usize {
+    fn session_count(&self) -> usize {
         self.sessions.len()
     }
 
@@ -407,7 +345,7 @@ impl SessionTable {
         }
     }
 
-    pub(crate) fn control(&mut self, group: RingId, env: &Envelope) -> Bytes {
+    fn control(&mut self, group: RingId, env: &Envelope) -> Bytes {
         let Ok(ctl) = SessionCtl::decode(&mut env.cmd.clone()) else {
             return status(ST_STALE); // foreign/corrupt control payload
         };
@@ -455,12 +393,8 @@ impl SessionTable {
         }
     }
 
-    /// The ordered admission decision for one sessioned envelope. On
-    /// [`Admission::Execute`] the returned slot is already inserted into
-    /// the reply cache, so a later duplicate — admitted after this call
-    /// but possibly *answered* before the execution finishes — observes
-    /// the same slot.
-    pub(crate) fn admit(&mut self, session: u64, env: &Envelope) -> Admission {
+    /// The ordered admission decision for one sessioned envelope.
+    fn admit(&mut self, session: u64, env: &Envelope) -> Admission {
         let seq = env.req.raw();
         let tick = self.tick;
         let max_cached = self.limits.max_cached as u64;
@@ -485,21 +419,25 @@ impl SessionTable {
         if seq <= s.ack {
             return Admission::Reply(status(ST_STALE));
         }
-        if let Some(slot) = s.executed.get(&seq) {
-            return Admission::Cached(slot.clone()); // retry: no re-execution
+        if let Some(reply) = s.executed.get(&seq) {
+            return Admission::Cached(reply.clone()); // retry: no re-execution
         }
         if seq > s.ack + max_cached.max(1) {
             return Admission::Reply(status(ST_WINDOW_EXCEEDED));
         }
-        let slot = ReplySlot::new();
-        s.executed.insert(seq, slot.clone());
-        Admission::Execute(slot)
+        Admission::Execute
     }
 
-    /// Serializes the table (without any inner-service state). Callers
-    /// must have rendezvoused with outstanding executions first: an
-    /// unfilled slot snapshots as an empty reply.
-    pub(crate) fn encode(&self, buf: &mut BytesMut) {
+    /// Caches the framed reply of a command [`SessionTable::admit`]
+    /// answered with [`Admission::Execute`].
+    fn record(&mut self, session: u64, seq: u64, reply: Bytes) {
+        if let Some(s) = self.sessions.get_mut(&session) {
+            s.executed.insert(seq, reply);
+        }
+    }
+
+    /// Serializes the table (without any inner-service state).
+    fn encode(&self, buf: &mut BytesMut) {
         put_varint(buf, self.next_ids.len() as u64);
         for (ring, counter) in &self.next_ids {
             put_varint(buf, u64::from(ring.raw()));
@@ -514,16 +452,16 @@ impl SessionTable {
             put_varint(buf, s.last_tick);
             put_varint(buf, s.ttl_ms);
             put_varint(buf, s.executed.len() as u64);
-            for (seq, slot) in &s.executed {
+            for (seq, reply) in &s.executed {
                 put_varint(buf, *seq);
-                put_bytes(buf, &slot.try_get().unwrap_or_default());
+                put_bytes(buf, reply);
             }
         }
     }
 
     /// Decodes the table fields written by [`SessionTable::encode`],
     /// leaving `raw` positioned after them.
-    pub(crate) fn decode_image(raw: &mut Bytes) -> Result<TableImage, WireError> {
+    fn decode_image(raw: &mut Bytes) -> Result<TableImage, WireError> {
         let rings = get_varint(raw)?;
         let mut next_ids = BTreeMap::new();
         for _ in 0..rings {
@@ -543,7 +481,7 @@ impl SessionTable {
             let mut executed = BTreeMap::new();
             for _ in 0..m {
                 let seq = get_varint(raw)?;
-                executed.insert(seq, ReplySlot::filled(get_bytes(raw)?));
+                executed.insert(seq, get_bytes(raw)?);
             }
             sessions.insert(
                 id,
@@ -564,27 +502,27 @@ impl SessionTable {
     }
 
     /// Installs decoded snapshot fields, keeping the configured limits.
-    pub(crate) fn install(&mut self, image: TableImage) {
+    fn install(&mut self, image: TableImage) {
         self.next_ids = image.next_ids;
         self.tick = image.tick;
         self.sessions = image.sessions;
     }
 
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.next_ids.clear();
         self.tick = 0;
         self.sessions.clear();
     }
 
-    pub(crate) fn session_probe(&self, session: u64) -> Option<(u64, u64)> {
+    fn session_probe(&self, session: u64) -> Option<(u64, u64)> {
         self.sessions.get(&session).map(|s| (s.refresh, s.ttl_ms))
     }
 
-    pub(crate) fn session_ids(&self) -> Vec<u64> {
+    fn session_ids(&self) -> Vec<u64> {
         self.sessions.keys().copied().collect()
     }
 
-    pub(crate) fn cached_reply_count(&self) -> usize {
+    fn cached_reply_count(&self) -> usize {
         self.sessions.values().map(|s| s.executed.len()).sum()
     }
 }
@@ -628,12 +566,10 @@ impl ServiceApp for SessionApp {
             SESSION_CTL => self.table.control(group, env),
             session => match self.table.admit(session, env) {
                 Admission::Reply(payload) => payload,
-                Admission::Cached(slot) => {
-                    slot.try_get().expect("inline replies fill synchronously")
-                }
-                Admission::Execute(slot) => {
+                Admission::Cached(reply) => reply,
+                Admission::Execute => {
                     let reply = frame_ok(&self.inner.execute(group, env));
-                    slot.fill(reply.clone());
+                    self.table.record(session, env.req.raw(), reply.clone());
                     reply
                 }
             },
@@ -654,8 +590,7 @@ impl ServiceApp for SessionApp {
         // Layout: session-table image, then the inner service state as
         // the trailing rest of the buffer — no length prefix, so the
         // inner app streams straight into the caller's buffer instead of
-        // materializing an intermediate copy. ShardedExec mirrors this
-        // layout byte for byte.
+        // materializing an intermediate copy.
         self.table.encode(buf);
         self.inner.snapshot_into(buf);
     }
@@ -775,6 +710,11 @@ mod tests {
         );
         parse_open_reply(&reply).expect("open reply")
     }
+
+    /// [`snapshot_encoding_is_pinned`]'s image, recorded from the
+    /// original encoder.
+    const GOLDEN_SNAPSHOT: &str = "02030209020b02818080808080800200010ab0ea01010103006f6b\
+        8180808080808005020008b0ea01030303006f6b0403006f6b0503006f6b0700000000000000";
 
     fn new_app() -> SessionApp {
         SessionApp::new(Box::new(CountApp::default()))
@@ -959,14 +899,37 @@ mod tests {
     }
 
     #[test]
-    fn reply_slot_blocks_until_filled() {
-        let slot = ReplySlot::new();
-        assert!(slot.try_get().is_none());
-        let waiter = slot.clone();
-        let handle = std::thread::spawn(move || waiter.wait());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        slot.fill(Bytes::from_static(b"done"));
-        assert_eq!(handle.join().unwrap(), Bytes::from_static(b"done"));
-        assert_eq!(slot.try_get(), Some(Bytes::from_static(b"done")));
+    fn snapshot_encoding_is_pinned() {
+        // Checkpoints written by older builds must keep restoring, so the
+        // table image layout is frozen: sessions on two home rings, a
+        // pruned and a retried cache, a keep-alive, and v1 traffic.
+        let mut app = SessionApp::new(Box::new(EchoApp::new()));
+        let a = open(&mut app, 1, 1);
+        let b = parse_open_reply(&app.execute(
+            RingId::new(3),
+            &ctl(
+                1,
+                1,
+                SessionCtl::Open {
+                    token: 1,
+                    ttl_ms: 30_000,
+                },
+            ),
+        ))
+        .unwrap();
+        let g = RingId::new(0);
+        for seq in 1..=4 {
+            app.execute(g, &req(1, a, seq, 0));
+        }
+        app.execute(g, &req(1, a, 5, 2));
+        app.execute(g, &req(1, a, 4, 2));
+        app.execute(RingId::new(3), &req(1, b, 1, 0));
+        app.execute(
+            RingId::new(3),
+            &ctl(1, 2, SessionCtl::KeepAlive { session: b }),
+        );
+        app.execute(g, &req(1, 0, 9, 0));
+        let hex: String = app.snapshot().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_SNAPSHOT);
     }
 }
