@@ -504,10 +504,11 @@ pub enum ClientMsg {
         /// Which request this answers.
         client_seq: RequestId,
         /// The session the command executed under, echoed from the
-        /// delivered envelope ([`crate::value::NO_SESSION`] for v1
-        /// traffic). The echo travels with the reply from the *executing*
-        /// replica, so a straggler answer from an earlier client
-        /// incarnation can never alias a new request's sequence number.
+        /// delivered envelope ([`crate::value::NO_SESSION`] for
+        /// sessionless traffic). The echo travels with the reply from the
+        /// *executing* replica, so a straggler answer from an earlier
+        /// client incarnation can never alias a new request's sequence
+        /// number.
         session: u64,
         /// Replica that executed the command.
         from_replica: NodeId,

@@ -174,8 +174,8 @@ impl Wire for Value {
     }
 }
 
-/// `Envelope::session` value meaning "no session": the v1 at-least-once
-/// client model (commands execute on every delivery).
+/// `Envelope::session` value meaning "no session": the simulator's
+/// at-least-once client model (commands execute on every delivery).
 pub const NO_SESSION: u64 = 0;
 
 /// `Envelope::session` value marking a session-*control* command (open /
@@ -188,28 +188,28 @@ pub const SESSION_CTL: u64 = u64::MAX;
 /// Replicas decode the envelope on delivery to know which client to answer
 /// and where to send the (simulated UDP) response.
 ///
-/// The `session`/`ack` pair is the protocol-v2 exactly-once identity: it
-/// is replicated *inside* the ordered command stream, so every replica
+/// The `session`/`ack` pair is the exactly-once identity: it is
+/// replicated *inside* the ordered command stream, so every replica
 /// makes the same executed-before decision for a retried `(session, req)`
-/// and prunes its reply cache at the same point. v1 clients (and the
-/// simulator) leave both at zero.
+/// and prunes its reply cache at the same point. The simulator's
+/// clients leave both at zero.
 ///
 /// Adding these fields changed the envelope's *storage* encoding (it is
 /// embedded in acceptor logs and delivered-command WALs): logs written
-/// by pre-v2 builds do not replay on this one. Deployments recover
+/// by earlier builds do not replay on this one. Deployments recover
 /// state from partition peers, so a rolling upgrade recovers rather
-/// than replays; the external client protocol is unaffected (v1 frames
+/// than replays; the external client protocol is unaffected (its frames
 /// are pinned byte-stable by `ci/wire_vectors_client.txt`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope {
     /// The client issuing the command.
     pub client: ClientId,
-    /// The client's request sequence number (per-session under v2).
+    /// The client's request sequence number (per-session when sessioned).
     pub req: RequestId,
     /// The node the response should be sent to.
     pub reply_to: NodeId,
     /// The exactly-once session this command executes under
-    /// ([`NO_SESSION`] for v1 traffic, [`SESSION_CTL`] for session
+    /// ([`NO_SESSION`] for sessionless traffic, [`SESSION_CTL`] for session
     /// control commands).
     pub session: u64,
     /// Highest per-session seq the client has acknowledged receiving
@@ -230,8 +230,8 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// A v1 (sessionless, at-least-once) envelope — the simulator's and
-    /// the v1 wire protocol's shape.
+    /// A sessionless, at-least-once envelope — the simulator's client
+    /// shape.
     pub fn v1(client: ClientId, req: RequestId, reply_to: NodeId, cmd: Bytes) -> Self {
         Envelope {
             client,

@@ -1723,28 +1723,14 @@ pub mod coord {
 }
 
 pub mod client {
-    //! The live client protocol, versions 1 and 2.
+    //! The live client protocol.
     //!
     //! Clients of a live deployment speak length-framed TCP to any node
     //! (paper §7: clients submit to proposers and receive replica replies
-    //! over the network).
+    //! over the network). Every command runs under an exactly-once
+    //! **session**:
     //!
-    //! ## Protocol v1 (tags 0–2 / 0–3)
-    //!
-    //! A connection opens with [`ClientMsg::Hello`] carrying the client's
-    //! id; afterwards requests and replies flow asynchronously — replies
-    //! may arrive out of request order (commands execute when the
-    //! deterministic merge delivers them) and are correlated by sequence
-    //! number. Duplicated replies are possible after retries, exactly like
-    //! the paper's UDP responses; clients must deduplicate by `seq` and
-    //! commands must be idempotent or tolerate re-execution.
-    //!
-    //! ## Protocol v2 (tags 3+ / 4+)
-    //!
-    //! v2 keeps every v1 frame byte-identical (old clients keep working —
-    //! the golden vectors under `ci/` pin this) and adds **sessions**:
-    //!
-    //! * [`ClientMsg::HelloV2`] is a versioned handshake with feature
+    //! * [`ClientMsg::HelloV2`] opens a connection with feature
     //!   negotiation; the server answers [`ClientReply::WelcomeV2`]
     //!   carrying the granted feature set and a credit **window** — the
     //!   number of requests the client may keep in flight. Further
@@ -1761,23 +1747,23 @@ pub mod client {
     //!   their caches deterministically.
     //! * [`ClientReply::ResponseV2`] echoes the session id, so a
     //!   straggler reply from a previous client incarnation can never be
-    //!   mis-matched to a new request (v1 needed a wall-clock sequence
-    //!   base for this).
+    //!   mis-matched to a new request.
     //! * [`ClientReply::Redirect`] lets a node that does not serve a
     //!   group point the client at one that does, instead of failing or
     //!   silently proxying.
-    //! * Errors carry typed [`ErrorCode`]s ([`ClientReply::ErrorV2`])
-    //!   instead of free-form strings.
+    //! * Errors carry typed [`ErrorCode`]s ([`ClientReply::ErrorV2`]).
     //!
-    //! ## Version gating
+    //! Replies may arrive out of request order (commands execute when
+    //! the deterministic merge delivers them) and are correlated by
+    //! session and sequence number.
     //!
-    //! v2 frames are usable only after feature negotiation: the client
-    //! requests a [`FEAT_PIPELINE`]`|`[`FEAT_EXACTLY_ONCE`]`|`... bitset
-    //! in [`ClientMsg::HelloV2`] and the server grants the intersection
-    //! with its own support in [`ClientReply::WelcomeV2`]. A server never
-    //! sends a v2 reply on a connection that opened with a v1
-    //! [`ClientMsg::Hello`], and never sends a frame whose feature bit it
-    //! did not grant ([`ClientReply::Redirect`] needs [`FEAT_REDIRECT`],
+    //! ## Feature gating
+    //!
+    //! The client requests a [`FEAT_PIPELINE`]`|`[`FEAT_EXACTLY_ONCE`]`|`...
+    //! bitset in [`ClientMsg::HelloV2`] and the server grants the
+    //! intersection with its own support in [`ClientReply::WelcomeV2`].
+    //! A server never sends a frame whose feature bit it did not grant
+    //! ([`ClientReply::Redirect`] needs [`FEAT_REDIRECT`],
     //! [`ClientReply::Stats`] needs [`FEAT_STATS`] — except for the
     //! hello-less [`ClientMsg::StatsRequest`] probe, which is answered
     //! unconditionally). Unknown tags are a decode error, never skipped.
@@ -1786,11 +1772,10 @@ pub mod client {
     //!
     //! The exact bytes of every frame shape below are pinned by the
     //! golden corpus `ci/wire_vectors_client.txt`, checked by
-    //! `crates/common/tests/wire_vectors.rs`. v1 frames are byte-stable
-    //! forever; new frames may only append tags. Intentional changes
-    //! regenerate the corpus (`REGEN_WIRE_VECTORS=1 cargo test -p common
-    //! --test wire_vectors`) and the diff is reviewed as an interface
-    //! change — a changed v1 line is a bug, not a refresh.
+    //! `crates/common/tests/wire_vectors.rs`. New frames may only append
+    //! tags. Intentional changes regenerate the corpus
+    //! (`REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors`)
+    //! and the diff is reviewed as an interface change.
 
     use super::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
     use crate::error::WireError;
@@ -1809,7 +1794,7 @@ pub mod client {
     /// Every feature this build knows about.
     pub const FEAT_ALL: u64 = FEAT_PIPELINE | FEAT_EXACTLY_ONCE | FEAT_REDIRECT | FEAT_STATS;
 
-    /// Typed reasons a server rejects a request (v2).
+    /// Typed reasons a server rejects a request.
     ///
     /// Wire layout: one byte — `HelloRequired` = 0, `UnknownGroup` = 1,
     /// `NotServing` = 2, `Shedding` = 3, `Internal` = 4. Append-only.
@@ -1873,43 +1858,20 @@ pub mod client {
     /// One tag byte, then the fields in declaration order (ids and
     /// integers are varints, `cmd` is length-prefixed bytes):
     ///
-    /// | tag | variant | body | since |
+    /// | tag | variant | body | needs |
     /// |----:|---------|------|-------|
-    /// | 0 | `Hello` | `client` | v1 |
-    /// | 1 | `Request` | `seq ++ group ++ cmd(bytes)` | v1 |
-    /// | 2 | `Ping` | `token(varint)` | v1 |
-    /// | 3 | `HelloV2` | `client ++ features(varint)` | v2 |
-    /// | 4 | `RequestV2` | `session(varint) ++ seq ++ ack(varint) ++ group ++ cmd(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
-    /// | 5 | `StatsRequest` | `token(varint)` | v2, [`FEAT_STATS`] |
+    /// | 3 | `HelloV2` | `client ++ features(varint)` | |
+    /// | 4 | `RequestV2` | `session(varint) ++ seq ++ ack(varint) ++ group ++ cmd(bytes)` | [`FEAT_EXACTLY_ONCE`] |
+    /// | 5 | `StatsRequest` | `token(varint)` | [`FEAT_STATS`] |
     ///
-    /// v1 tags (0–2) are byte-stable forever; the corpus
+    /// Tags 0–2 are reserved (a retired protocol used them) and are never
+    /// reused: they decode to [`WireError::BadTag`]. The corpus
     /// `ci/wire_vectors_client.txt` pins every row.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum ClientMsg {
-        /// Opens a v1 session: all replies for `client` flow back over the
-        /// connection that sent the hello.
-        Hello {
-            /// The connecting client's id (unique per deployment).
-            client: ClientId,
-        },
-        /// Submit `cmd` for atomic multicast to `group` (v1: at-least-once
-        /// under retries).
-        Request {
-            /// Client-chosen sequence number correlating the reply.
-            seq: RequestId,
-            /// The multicast group (ring) to order the command on.
-            group: RingId,
-            /// Service-specific command bytes.
-            cmd: Bytes,
-        },
-        /// Connection-liveness probe; the server answers with
-        /// [`ClientReply::Pong`].
-        Ping {
-            /// Echoed token.
-            token: u64,
-        },
-        /// The v2 handshake: like [`ClientMsg::Hello`] plus feature
-        /// negotiation. Answered with [`ClientReply::WelcomeV2`].
+        /// The handshake: names the client and negotiates features.
+        /// All replies for `client` flow back over the connection that
+        /// sent it. Answered with [`ClientReply::WelcomeV2`].
         HelloV2 {
             /// The connecting client's id (unique per deployment).
             client: ClientId,
@@ -1936,8 +1898,7 @@ pub mod client {
         /// Asks the serving node for its metrics snapshot (the stats
         /// plane). Answered immediately with [`ClientReply::Stats`]; no
         /// hello is required, so monitoring can probe any node with a
-        /// bare connection. v2-only ([`FEAT_STATS`]): v1 bytes are
-        /// untouched.
+        /// bare connection.
         StatsRequest {
             /// Echoed token correlating the snapshot (watch loops).
             token: u64,
@@ -1950,51 +1911,21 @@ pub mod client {
     ///
     /// One tag byte, then the fields in declaration order:
     ///
-    /// | tag | variant | body | since |
+    /// | tag | variant | body | needs |
     /// |----:|---------|------|-------|
-    /// | 0 | `Welcome` | `node` | v1 |
-    /// | 1 | `Response` | `seq ++ from_replica ++ payload(bytes)` | v1 |
-    /// | 2 | `Error` | `seq ++ reason(string)` | v1 |
-    /// | 3 | `Pong` | `token(varint)` | v1 |
-    /// | 4 | `WelcomeV2` | `node ++ features(varint) ++ window(varint)` | v2 |
-    /// | 5 | `ResponseV2` | `session(varint) ++ seq ++ from_replica ++ payload(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
-    /// | 6 | `ErrorV2` | `seq ++ code` ([`ErrorCode`]) ` ++ detail(string)` | v2 |
-    /// | 7 | `Redirect` | `seq ++ group ++ to` | v2, [`FEAT_REDIRECT`] |
-    /// | 8 | `CreditGrant` | `window(varint)` | v2, [`FEAT_PIPELINE`] |
-    /// | 9 | `Stats` | `token(varint) ++ snapshot` | v2, [`FEAT_STATS`] |
+    /// | 4 | `WelcomeV2` | `node ++ features(varint) ++ window(varint)` | |
+    /// | 5 | `ResponseV2` | `session(varint) ++ seq ++ from_replica ++ payload(bytes)` | [`FEAT_EXACTLY_ONCE`] |
+    /// | 6 | `ErrorV2` | `seq ++ code` ([`ErrorCode`]) ` ++ detail(string)` | |
+    /// | 7 | `Redirect` | `seq ++ group ++ to` | [`FEAT_REDIRECT`] |
+    /// | 8 | `CreditGrant` | `window(varint)` | [`FEAT_PIPELINE`] |
+    /// | 9 | `Stats` | `token(varint) ++ snapshot` | [`FEAT_STATS`] |
     ///
-    /// v1 tags (0–3) are byte-stable forever; the corpus
+    /// Tags 0–3 are reserved (a retired protocol used them) and are never
+    /// reused: they decode to [`WireError::BadTag`]. The corpus
     /// `ci/wire_vectors_client.txt` pins every row.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum ClientReply {
-        /// v1 session accepted; `node` identifies the serving node.
-        Welcome {
-            /// The serving node.
-            node: NodeId,
-        },
-        /// A replica executed the request (v1).
-        Response {
-            /// The request's sequence number.
-            seq: RequestId,
-            /// The replica that executed the command.
-            from_replica: NodeId,
-            /// Service-specific response bytes.
-            payload: Bytes,
-        },
-        /// The request could not be accepted (v1; unknown group,
-        /// shedding).
-        Error {
-            /// The request's sequence number.
-            seq: RequestId,
-            /// Human-readable reason.
-            reason: String,
-        },
-        /// Answer to [`ClientMsg::Ping`].
-        Pong {
-            /// Echoed token.
-            token: u64,
-        },
-        /// v2 handshake accepted.
+        /// Handshake accepted; `node` identifies the serving node.
         WelcomeV2 {
             /// The serving node.
             node: NodeId,
@@ -2004,7 +1935,7 @@ pub mod client {
             /// flight on this connection.
             window: u32,
         },
-        /// A replica executed a v2 request. The session echo is what
+        /// A replica executed a request. The session echo is what
         /// makes reply matching safe across client incarnations.
         ResponseV2 {
             /// The session the command executed under (as replicated).
@@ -2017,7 +1948,7 @@ pub mod client {
             /// payload; see `multiring::session`).
             payload: Bytes,
         },
-        /// The serving node rejected a v2 request.
+        /// The serving node rejected a request.
         ErrorV2 {
             /// The request's sequence number.
             seq: RequestId,
@@ -2053,20 +1984,6 @@ pub mod client {
     impl Wire for ClientMsg {
         fn encode(&self, buf: &mut BytesMut) {
             match self {
-                ClientMsg::Hello { client } => {
-                    buf.put_u8(0);
-                    client.encode(buf);
-                }
-                ClientMsg::Request { seq, group, cmd } => {
-                    buf.put_u8(1);
-                    seq.encode(buf);
-                    group.encode(buf);
-                    put_bytes(buf, cmd);
-                }
-                ClientMsg::Ping { token } => {
-                    buf.put_u8(2);
-                    super::put_varint(buf, *token);
-                }
                 ClientMsg::HelloV2 { client, features } => {
                     buf.put_u8(3);
                     client.encode(buf);
@@ -2095,17 +2012,6 @@ pub mod client {
 
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             match get_tag(buf, "client wire msg")? {
-                0 => Ok(ClientMsg::Hello {
-                    client: ClientId::decode(buf)?,
-                }),
-                1 => Ok(ClientMsg::Request {
-                    seq: RequestId::decode(buf)?,
-                    group: RingId::decode(buf)?,
-                    cmd: get_bytes(buf)?,
-                }),
-                2 => Ok(ClientMsg::Ping {
-                    token: super::get_varint(buf)?,
-                }),
                 3 => Ok(ClientMsg::HelloV2 {
                     client: ClientId::decode(buf)?,
                     features: get_varint(buf)?,
@@ -2131,29 +2037,6 @@ pub mod client {
     impl Wire for ClientReply {
         fn encode(&self, buf: &mut BytesMut) {
             match self {
-                ClientReply::Welcome { node } => {
-                    buf.put_u8(0);
-                    node.encode(buf);
-                }
-                ClientReply::Response {
-                    seq,
-                    from_replica,
-                    payload,
-                } => {
-                    buf.put_u8(1);
-                    seq.encode(buf);
-                    from_replica.encode(buf);
-                    put_bytes(buf, payload);
-                }
-                ClientReply::Error { seq, reason } => {
-                    buf.put_u8(2);
-                    seq.encode(buf);
-                    reason.encode(buf);
-                }
-                ClientReply::Pong { token } => {
-                    buf.put_u8(3);
-                    super::put_varint(buf, *token);
-                }
                 ClientReply::WelcomeV2 {
                     node,
                     features,
@@ -2202,21 +2085,6 @@ pub mod client {
 
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             match get_tag(buf, "client wire reply")? {
-                0 => Ok(ClientReply::Welcome {
-                    node: NodeId::decode(buf)?,
-                }),
-                1 => Ok(ClientReply::Response {
-                    seq: RequestId::decode(buf)?,
-                    from_replica: NodeId::decode(buf)?,
-                    payload: get_bytes(buf)?,
-                }),
-                2 => Ok(ClientReply::Error {
-                    seq: RequestId::decode(buf)?,
-                    reason: String::decode(buf)?,
-                }),
-                3 => Ok(ClientReply::Pong {
-                    token: super::get_varint(buf)?,
-                }),
                 4 => Ok(ClientReply::WelcomeV2 {
                     node: NodeId::decode(buf)?,
                     features: get_varint(buf)?,
@@ -2262,32 +2130,6 @@ pub mod client {
             let mut b = v.to_bytes();
             assert_eq!(T::decode(&mut b).unwrap(), v);
             assert_eq!(b.remaining(), 0);
-        }
-
-        #[test]
-        fn client_protocol_round_trips() {
-            rt(ClientMsg::Hello {
-                client: ClientId::new(77),
-            });
-            rt(ClientMsg::Request {
-                seq: RequestId::new(9),
-                group: RingId::new(1),
-                cmd: Bytes::from_static(b"put k v"),
-            });
-            rt(ClientMsg::Ping { token: u64::MAX });
-            rt(ClientReply::Welcome {
-                node: NodeId::new(3),
-            });
-            rt(ClientReply::Response {
-                seq: RequestId::new(9),
-                from_replica: NodeId::new(2),
-                payload: Bytes::from_static(b"=v"),
-            });
-            rt(ClientReply::Error {
-                seq: RequestId::new(10),
-                reason: "unknown group".to_string(),
-            });
-            rt(ClientReply::Pong { token: 0 });
         }
 
         #[test]

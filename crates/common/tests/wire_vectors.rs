@@ -1,4 +1,4 @@
-//! Golden wire vectors for the client protocol (v1 **and** v2).
+//! Golden wire vectors for the client protocol.
 //!
 //! `ci/wire_vectors_client.txt` pins the exact byte encoding of every
 //! client-protocol frame shape. This test asserts both directions
@@ -16,10 +16,11 @@
 //! REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors
 //! ```
 //!
-//! and review the diff like any other interface change. v1 lines must
-//! never change: v2 servers still speak v1 to old clients.
+//! and review the diff like any other interface change. Tags a retired
+//! protocol used are reserved: no new frame may take them.
 
 use bytes::Bytes;
+use common::error::WireError;
 use common::ids::{ClientId, NodeId, RequestId, RingId};
 use common::obs::{HistSummary, ObsSnapshot};
 use common::wire::client::{
@@ -53,50 +54,11 @@ impl Frame {
     }
 }
 
-/// Every frame shape of the protocol, v1 first. Names are stable keys in
+/// Every frame shape of the protocol. Names are stable keys in
 /// the corpus file; add new shapes at the end.
 fn vectors() -> Vec<(&'static str, Frame)> {
     use Frame::{Msg, Reply};
     vec![
-        // ---- protocol v1 (byte-stable forever) ----
-        (
-            "v1_hello",
-            Msg(ClientMsg::Hello {
-                client: ClientId::new(77),
-            }),
-        ),
-        (
-            "v1_request",
-            Msg(ClientMsg::Request {
-                seq: RequestId::new(300),
-                group: RingId::new(2),
-                cmd: Bytes::from_static(b"put k v"),
-            }),
-        ),
-        ("v1_ping", Msg(ClientMsg::Ping { token: 0x0123_4567 })),
-        (
-            "v1_welcome",
-            Reply(ClientReply::Welcome {
-                node: NodeId::new(3),
-            }),
-        ),
-        (
-            "v1_response",
-            Reply(ClientReply::Response {
-                seq: RequestId::new(300),
-                from_replica: NodeId::new(4),
-                payload: Bytes::from_static(b"=v"),
-            }),
-        ),
-        (
-            "v1_error",
-            Reply(ClientReply::Error {
-                seq: RequestId::new(301),
-                reason: "unknown group".to_string(),
-            }),
-        ),
-        ("v1_pong", Reply(ClientReply::Pong { token: 0x0123_4567 })),
-        // ---- protocol v2 ----
         (
             "v2_hello",
             Msg(ClientMsg::HelloV2 {
@@ -224,10 +186,9 @@ fn client_frames_match_golden_vectors() {
     let vectors = vectors();
     if std::env::var_os("REGEN_WIRE_VECTORS").is_some() {
         let mut out = String::from(
-            "# Golden wire vectors: client protocol v1+v2 frames, hex-encoded.\n\
+            "# Golden wire vectors: client protocol frames, hex-encoded.\n\
              # Checked by crates/common/tests/wire_vectors.rs; regenerate with\n\
-             #   REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors\n\
-             # v1 lines must never change (old clients must stay decodable).\n",
+             #   REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors\n",
         );
         for (name, frame) in &vectors {
             out.push_str(&format!("{name} {}\n", hex(&frame.to_bytes())));
@@ -270,4 +231,34 @@ fn client_frames_match_golden_vectors() {
         "corpus has vectors with no matching frame (renamed or deleted?): {:?}",
         recorded.keys().collect::<Vec<_>>()
     );
+}
+
+/// Tags 0–2 (messages) and 0–3 (replies) belonged to a retired protocol
+/// and stay reserved: its former golden frames must be rejected, never
+/// read as some other frame.
+#[test]
+fn retired_tags_decode_to_bad_tag() {
+    let msgs = ["004d", "01ac020207707574206b2076", "02e78a8d09"];
+    for raw in msgs {
+        let mut bytes = Bytes::from(unhex(raw).unwrap());
+        let err = ClientMsg::decode(&mut bytes).unwrap_err();
+        assert!(
+            matches!(err, WireError::BadTag { tag, .. } if tag < 3),
+            "{raw}: {err:?}"
+        );
+    }
+    let replies = [
+        "0003",
+        "01ac0204023d76",
+        "02ad020d756e6b6e6f776e2067726f7570",
+        "03e78a8d09",
+    ];
+    for raw in replies {
+        let mut bytes = Bytes::from(unhex(raw).unwrap());
+        let err = ClientReply::decode(&mut bytes).unwrap_err();
+        assert!(
+            matches!(err, WireError::BadTag { tag, .. } if tag < 4),
+            "{raw}: {err:?}"
+        );
+    }
 }

@@ -1,9 +1,9 @@
-//! The live network client: protocol v2, pipelined, exactly-once.
+//! The live network client: pipelined, exactly-once.
 //!
 //! A [`LiveClient`] opens framed-TCP connections to every serving node
 //! (replicas answer clients *directly*, like the paper's UDP responses —
 //! so the client must be reachable from any replica that may execute its
-//! commands), performs the v2 handshake on each, and runs every command
+//! commands), performs the handshake on each, and runs every command
 //! under one replicated **session**:
 //!
 //! * the session is opened through the ordered command stream itself
@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -268,8 +268,7 @@ impl SessionCore {
                 };
                 if *session != self.session_for(group) {
                     // A different session on this request's home ring is
-                    // a straggler of an earlier incarnation — the exact
-                    // mis-match the v1 wall-clock seq base papered over.
+                    // a straggler of an earlier incarnation.
                     return Action::None;
                 }
                 let Some((status, body)) = parse_reply(payload) else {
@@ -305,8 +304,7 @@ impl SessionCore {
                     Action::None
                 }
             }
-            // v1 frames and pongs carry nothing for a v2 session.
-            _ => Action::None,
+            ClientReply::Stats { .. } => Action::None,
         }
     }
 
@@ -370,7 +368,7 @@ impl SessionCore {
     }
 }
 
-/// A connected v2 client.
+/// A connected client.
 pub struct LiveClient {
     id: ClientId,
     opts: ClientOptions,
@@ -394,7 +392,7 @@ pub struct LiveClient {
 }
 
 impl LiveClient {
-    /// Connects to every server, performs the v2 handshake on each, and
+    /// Connects to every server, performs the handshake on each, and
     /// prepares (but does not yet open) the exactly-once sessions —
     /// a session opens lazily per multicast group, on the first request
     /// targeting it, through that group's own ordered stream. A client
@@ -532,9 +530,19 @@ impl LiveClient {
     ///
     /// Fails if the server cannot be reached.
     pub fn reconnect(&mut self, node: NodeId) -> Result<()> {
-        self.conns.remove(&node);
+        self.drop_conn(node);
         self.down_until.remove(&node);
         self.open_conn(node, 10)
+    }
+
+    /// Closes the connection to `node`, if any. Shutting the socket down
+    /// (not just dropping this handle) ends the reply-reader thread that
+    /// holds a clone, and with it the server's threads for the
+    /// connection.
+    fn drop_conn(&mut self, node: NodeId) {
+        if let Some(stream) = self.conns.remove(&node) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 
     fn send_to(&mut self, node: NodeId, msg: &ClientMsg) -> Result<()> {
@@ -549,7 +557,7 @@ impl LiveClient {
             .unwrap_or(true);
         if broken {
             // One reconnect attempt: the server may have restarted.
-            self.conns.remove(&node);
+            self.drop_conn(node);
             self.open_conn(node, 1)?;
             self.conns
                 .get_mut(&node)
@@ -810,9 +818,9 @@ impl LiveClient {
     }
 
     /// The next completed request, if one finishes within `timeout`.
-    /// Returns the completing reply `(seq, replica, payload)`. Unlike
-    /// protocol v1 there are no duplicate completions to filter: each
-    /// submitted request completes exactly once.
+    /// Returns the completing reply `(seq, replica, payload)`. There are
+    /// no duplicate completions to filter: each submitted request
+    /// completes exactly once.
     pub fn poll_reply(&mut self, timeout: Duration) -> Option<(RequestId, NodeId, Bytes)> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -907,6 +915,14 @@ impl LiveClient {
         let seq = self.submit_with(group, cmd, partitions.to_vec(), None)?;
         let c = self.wait_for(seq, "client request")?;
         Ok(c.replies)
+    }
+}
+
+impl Drop for LiveClient {
+    fn drop(&mut self) {
+        for stream in self.conns.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -1030,9 +1046,8 @@ mod tests {
     /// The satellite regression for the deleted wall-clock `seq_base`
     /// hack: a straggler reply from a *previous invocation* (same client
     /// id, same seq number, different session) must never complete a new
-    /// invocation's request. Under v1 both invocations shared one
-    /// unstructured seq space, so only the wall-clock base kept them
-    /// apart; under v2 the session echo makes the filter structural.
+    /// invocation's request: the session echo makes the filter
+    /// structural.
     #[test]
     fn straggler_reply_from_previous_session_is_ignored() {
         let mut core = SessionCore::new(8);

@@ -183,7 +183,7 @@ pub struct DeploymentConfig {
     pub batch_max_bytes: usize,
     /// Maximum time a non-empty batch waits before proposing.
     pub batch_delay: Duration,
-    /// Credit window granted to protocol-v2 clients at the handshake
+    /// Credit window granted to clients at the handshake
     /// (`client_window`, requests in flight per client). Also the ceiling
     /// the credit controller expands back to after overload clears.
     pub client_window: u32,

@@ -58,9 +58,8 @@ fn durable(
 }
 
 /// Builds the service stack for one node of `config`: the service, the
-/// exactly-once session table around it (protocol v2; v1 traffic passes
-/// through untouched), and the WAL outside both, logging the full
-/// delivered stream.
+/// exactly-once session table around it, and the WAL outside both,
+/// logging the full delivered stream.
 fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<Box<dyn ServiceApp>> {
     let spec = config
         .node(node)

@@ -33,7 +33,7 @@
 //! * [`deployment`] — launch/kill/restart whole localhost deployments
 //!   in-process (tests, examples, benchmarks); wraps every service in
 //!   the [`multiring::SessionApp`] exactly-once session table.
-//! * [`client`] / [`service`] — the protocol-v2 network client
+//! * [`client`] / [`service`] — the network client
 //!   (pipelined sliding window, replicated exactly-once sessions,
 //!   failover re-send that cannot re-execute) and the typed MRP-Store /
 //!   dLog facades on top.

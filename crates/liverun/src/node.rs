@@ -16,7 +16,7 @@
 //! Replies route back by node id: replicas answer `Envelope::reply_to`,
 //! which for live clients is a synthetic node id above
 //! [`CLIENT_NODE_BASE`]; the loop maps it to the client's connection and
-//! writes a [`ClientReply::Response`] frame.
+//! writes a [`ClientReply::ResponseV2`] frame.
 
 use std::collections::HashMap;
 use std::io::{IoSlice, Read, Write};
@@ -62,20 +62,12 @@ pub fn client_of_node(node: NodeId) -> Option<ClientId> {
 pub(crate) enum Event {
     /// A protocol message from a peer (or from this node to itself).
     Peer(NodeId, Msg),
+    /// The listener accepted client connection `.0`; the loop keeps the
+    /// socket so it can close it when the node stops.
+    ClientOpen(u64, TcpStream),
     /// A client said hello on this node.
     ClientHello(ClientId, ClientConn),
-    /// A client submitted a v1 command.
-    ClientRequest {
-        /// The submitting client.
-        client: ClientId,
-        /// Client-chosen sequence number.
-        seq: RequestId,
-        /// Target multicast group.
-        group: RingId,
-        /// Service command bytes.
-        cmd: Bytes,
-    },
-    /// A client submitted a v2 (sessioned) command.
+    /// A client submitted a (sessioned) command.
     ClientRequestV2 {
         /// The submitting client.
         client: ClientId,
@@ -90,20 +82,23 @@ pub(crate) enum Event {
         /// Service command bytes.
         cmd: Bytes,
     },
-    /// A client connection closed.
-    ClientGone(ClientId),
+    /// Client connection `conn` closed; `client` is who said hello on it.
+    ClientGone {
+        /// The closed connection.
+        conn: u64,
+        /// The client that said hello on it, if any.
+        client: Option<ClientId>,
+    },
     /// Stop the loop.
     Shutdown,
 }
 
-/// One client's connection state at the node loop: its reply writer,
-/// which protocol version the hello negotiated (`v2` replies go out as
-/// `ResponseV2`/`ErrorV2` frames), and a handle on the socket so the
-/// loop can close it when the node stops.
+/// One client's connection at the node loop: the accepted socket's id
+/// (a close of an older connection must not evict a newer one) and its
+/// reply writer.
 pub(crate) struct ClientConn {
+    conn: u64,
     writer: ClientWriter,
-    v2: bool,
-    socket: TcpStream,
 }
 
 /// Write half of one client connection.
@@ -113,7 +108,7 @@ pub(crate) struct ClientConn {
 /// would stall the loop (and with it this node's heartbeats). Replies
 /// therefore go through a bounded queue to a dedicated writer thread;
 /// when the queue fills, replies are dropped — the same semantics as the
-/// paper's UDP responses, which clients already retry around (v2 retries
+/// paper's UDP responses, which clients already retry around (retries
 /// are deduplicated, so shedding stays safe).
 #[derive(Clone)]
 pub(crate) struct ClientWriter {
@@ -412,12 +407,13 @@ fn spawn_peer_reader(mut stream: TcpStream, tx: Sender<Event>) {
     });
 }
 
-/// Speaks the client protocol (v1 and v2) on one accepted client
-/// connection. `grant` is the node's *live* credit window: the node loop
-/// resizes it with backpressure, and a client connecting mid-overload is
-/// admitted at the clamped window, not the configured maximum.
+/// Speaks the client protocol on accepted client connection `conn`.
+/// `grant` is the node's *live* credit window: the node loop resizes it
+/// with backpressure, and a client connecting mid-overload is admitted
+/// at the clamped window, not the configured maximum.
 fn spawn_client_reader(
     mut stream: TcpStream,
+    conn: u64,
     me: NodeId,
     grant: Arc<AtomicU32>,
     obs: Obs,
@@ -430,40 +426,24 @@ fn spawn_client_reader(
             Ok(w) => ClientWriter::new(w, obs.counter("writer_vectored_frames")),
             Err(_) => return,
         };
-        let Ok(socket) = stream.try_clone() else {
-            return;
-        };
-        let conn = |v2| {
-            let socket = socket.try_clone().ok()?;
-            Some(ClientConn {
-                writer: writer.clone(),
-                v2,
-                socket,
-            })
-        };
         let mut session: Option<ClientId> = None;
         let mut buf = FrameBuf::new();
         let mut chunk = [0u8; 64 * 1024];
-        loop {
+        'read: loop {
             match stream.read(&mut chunk) {
                 Ok(0) | Err(_) => break,
                 Ok(n) => {
                     buf.extend(&chunk[..n]);
                     loop {
                         match buf.try_next::<ClientMsg>() {
-                            Ok(Some(ClientMsg::Hello { client })) => {
-                                session = Some(client);
-                                let Some(conn) = conn(false) else { return };
-                                if tx.send(Event::ClientHello(client, conn)).is_err() {
-                                    return;
-                                }
-                                writer.send(&ClientReply::Welcome { node: me });
-                            }
                             Ok(Some(ClientMsg::HelloV2 { client, features })) => {
                                 session = Some(client);
-                                let Some(conn) = conn(true) else { return };
-                                if tx.send(Event::ClientHello(client, conn)).is_err() {
-                                    return;
+                                let hello = ClientConn {
+                                    conn,
+                                    writer: writer.clone(),
+                                };
+                                if tx.send(Event::ClientHello(client, hello)).is_err() {
+                                    break 'read;
                                 }
                                 let window = grant.load(Ordering::Relaxed).max(1);
                                 writer.send(&ClientReply::WelcomeV2 {
@@ -476,26 +456,6 @@ fn spawn_client_reader(
                                 // Exercise that path from day one so
                                 // clients must handle it.
                                 writer.send(&ClientReply::CreditGrant { window });
-                            }
-                            Ok(Some(ClientMsg::Request { seq, group, cmd })) => {
-                                let Some(client) = session else {
-                                    writer.send(&ClientReply::Error {
-                                        seq,
-                                        reason: "hello required before requests".into(),
-                                    });
-                                    continue;
-                                };
-                                if tx
-                                    .send(Event::ClientRequest {
-                                        client,
-                                        seq,
-                                        group,
-                                        cmd,
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
                             }
                             Ok(Some(ClientMsg::RequestV2 {
                                 session: sid,
@@ -523,11 +483,8 @@ fn spawn_client_reader(
                                     })
                                     .is_err()
                                 {
-                                    return;
+                                    break 'read;
                                 }
-                            }
-                            Ok(Some(ClientMsg::Ping { token })) => {
-                                writer.send(&ClientReply::Pong { token });
                             }
                             Ok(Some(ClientMsg::StatsRequest { token })) => {
                                 // Stats are a read-only plane: answer
@@ -539,15 +496,23 @@ fn spawn_client_reader(
                                 });
                             }
                             Ok(None) => break,
-                            Err(_) => return, // corrupt stream: drop it
+                            Err(_) => {
+                                // Corrupt stream (or a reserved tag): drop
+                                // the connection, writer thread included.
+                                let _ = stream.shutdown(Shutdown::Both);
+                                break 'read;
+                            }
                         }
                     }
                 }
             }
         }
-        if let Some(client) = session {
-            let _ = tx.send(Event::ClientGone(client));
-        }
+        // The writer thread drains what is queued and exits once the
+        // loop drops this connection's last writer handle.
+        let _ = tx.send(Event::ClientGone {
+            conn,
+            client: session,
+        });
     });
 }
 
@@ -578,7 +543,7 @@ pub(crate) struct NodeSetup {
     pub client_addr: SocketAddr,
     /// Shared deployment clock.
     pub clock: WallClock,
-    /// Credit window granted to v2 clients at the handshake.
+    /// Credit window granted to clients at the handshake.
     pub client_window: u32,
     /// Floor the credit controller never shrinks the window below.
     pub credit_min_window: u32,
@@ -606,7 +571,7 @@ const CREDIT_REPLY_HIGH: i64 = 1024;
 const CREDIT_WAL_HIGH: Duration = Duration::from_millis(25);
 
 /// Admission control: turns the node's own backlog gauges into the credit
-/// window granted to protocol-v2 sessions (AIMD — halve under pressure,
+/// window granted to client sessions (AIMD — halve under pressure,
 /// climb back additively once every signal clears).
 ///
 /// Inputs are the signals the stats plane already exports: the proposal
@@ -728,12 +693,21 @@ pub(crate) fn spawn_node(
     let grant = Arc::new(AtomicU32::new(setup.client_window.max(1)));
     let reader_grant = Arc::clone(&grant);
     let obs = setup.obs.clone();
+    let mut next_conn = 0u64;
     let client_listener = spawn_listener(
         client_listener,
         format!("amcast-clients-{}", setup.me.raw()),
         move |stream| {
+            // Registered from the accept thread, so the open is queued
+            // ahead of the shutdown event (listeners stop first).
+            let Ok(socket) = stream.try_clone() else {
+                return;
+            };
+            next_conn += 1;
+            let _ = tx_clients.send(Event::ClientOpen(next_conn, socket));
             spawn_client_reader(
                 stream,
+                next_conn,
                 me,
                 Arc::clone(&reader_grant),
                 obs.clone(),
@@ -746,10 +720,10 @@ pub(crate) fn spawn_node(
     let join = std::thread::Builder::new()
         .name(format!("amcast-node-{}", setup.me.raw()))
         .spawn(move || {
-            let mut clients = HashMap::new();
-            node_loop(setup, app, restart, rx, loop_tx, grant, &mut clients);
-            for conn in clients.values() {
-                let _ = conn.socket.shutdown(Shutdown::Both);
+            let mut sockets = HashMap::new();
+            node_loop(setup, app, restart, rx, loop_tx, grant, &mut sockets);
+            for socket in sockets.values() {
+                let _ = socket.shutdown(Shutdown::Both);
             }
         })
         .map_err(Error::Io)?;
@@ -763,8 +737,8 @@ pub(crate) fn spawn_node(
     })
 }
 
-/// Runs one node until shutdown. `clients` maps each connected client to
-/// its connection; the caller closes what is left in it once the loop
+/// Runs one node until shutdown. `sockets` holds every open client
+/// connection by id; the caller closes what is left in it once the loop
 /// returns.
 fn node_loop(
     setup: NodeSetup,
@@ -773,7 +747,7 @@ fn node_loop(
     rx: Receiver<Event>,
     self_tx: Sender<Event>,
     grant: Arc<AtomicU32>,
-    clients: &mut HashMap<ClientId, ClientConn>,
+    sockets: &mut HashMap<u64, TcpStream>,
 ) {
     let me = setup.me;
     let clock = setup.clock;
@@ -788,6 +762,7 @@ fn node_loop(
         }
     }
     let obs = setup.obs.clone();
+    let mut clients: HashMap<ClientId, ClientConn> = HashMap::new();
     let mut host = MultiRingHost::new(
         me,
         setup.registry.clone(),
@@ -851,7 +826,7 @@ fn node_loop(
                 &mut outbox,
                 &mut timer_reqs,
                 &mut transport,
-                clients,
+                &clients,
                 &self_tx,
                 &mut timers,
                 &clock,
@@ -886,34 +861,19 @@ fn node_loop(
                 Event::Peer(from, msg) => {
                     with_ctx!(|ctx| host.on_message(from, msg, &mut ctx));
                 }
+                Event::ClientOpen(conn, socket) => {
+                    sockets.insert(conn, socket);
+                }
                 Event::ClientHello(client, conn) => {
                     clients.insert(client, conn);
                 }
-                Event::ClientGone(client) => {
-                    clients.remove(&client);
-                }
-                Event::ClientRequest {
-                    client,
-                    seq,
-                    group,
-                    cmd,
-                } => {
-                    if !setup.member_of.contains(&group) {
-                        // Fail fast instead of silently dropping: the client
-                        // can re-route immediately rather than burn its
-                        // timeout (the wire protocol's documented Error path).
-                        if let Some(conn) = clients.get(&client) {
-                            conn.writer.send(&common::wire::client::ClientReply::Error {
-                                seq,
-                                reason: format!("node {me} does not serve group {group}"),
-                            });
-                        }
-                    } else {
-                        let mut env = Envelope::v1(client, seq, client_node_id(client), cmd);
-                        env.trace = obs.trace_stamp();
-                        if let Some(batch) = batcher.push(group, env, Instant::now()) {
-                            note_seal(&stage_seal, &batch);
-                            with_ctx!(|ctx| host.propose_envelopes(group, batch, &mut ctx));
+                Event::ClientGone { conn, client } => {
+                    sockets.remove(&conn);
+                    // A client that reconnected already owns a newer
+                    // connection: the old one's close must not evict it.
+                    if let Some(client) = client {
+                        if clients.get(&client).is_some_and(|c| c.conn == conn) {
+                            clients.remove(&client);
                         }
                     }
                 }
@@ -926,7 +886,7 @@ fn node_loop(
                     cmd,
                 } => {
                     if !setup.member_of.contains(&group) {
-                        // v2: point the client at a node that serves the
+                        // Point the client at a node that serves the
                         // group instead of making it guess (or silently
                         // proxying on its behalf).
                         if let Some(conn) = clients.get(&client) {
@@ -1065,7 +1025,7 @@ fn node_loop(
             }
         }
         // Credit tick: re-derive the per-session window from this node's
-        // own backlog and broadcast the change to every v2 connection.
+        // own backlog and broadcast the change to every connection.
         if Instant::now() >= next_credit_tick {
             next_credit_tick = Instant::now() + CREDIT_TICK;
             let backlog = batcher.pending_len() as i64 + rx.len() as i64;
@@ -1077,9 +1037,7 @@ fn node_loop(
                 grant.store(w, Ordering::Relaxed);
                 credit_window.set(w as i64);
                 for conn in clients.values() {
-                    if conn.v2 {
-                        conn.writer.send(&ClientReply::CreditGrant { window: w });
-                    }
+                    conn.writer.send(&ClientReply::CreditGrant { window: w });
                 }
             }
         }
@@ -1112,7 +1070,6 @@ fn route_effects(
     clock: &WallClock,
     me: NodeId,
 ) {
-    use common::value::NO_SESSION;
     for (to, msg) in outbox.drain(..) {
         if let Some(client) = client_of_node(to) {
             let Msg::Client(SimClientMsg::Response {
@@ -1126,25 +1083,15 @@ fn route_effects(
                 continue;
             };
             // Client not connected here (or gone): reply dropped, exactly
-            // like the paper's UDP responses; the client retries (safely,
-            // under v2 — retries are deduplicated).
+            // like the paper's UDP responses; the client retries (safely —
+            // retries are deduplicated).
             if let Some(conn) = clients.get(&client) {
-                if conn.v2 {
-                    conn.writer.send(&ClientReply::ResponseV2 {
-                        session,
-                        seq: client_seq,
-                        from_replica,
-                        payload,
-                    });
-                } else if session == NO_SESSION {
-                    conn.writer.send(&ClientReply::Response {
-                        seq: client_seq,
-                        from_replica,
-                        payload,
-                    });
-                }
-                // A sessioned reply to a v1 connection can only be a
-                // stale cross-incarnation straggler: drop it.
+                conn.writer.send(&ClientReply::ResponseV2 {
+                    session,
+                    seq: client_seq,
+                    from_replica,
+                    payload,
+                });
             }
         } else if to == me {
             let _ = self_tx.send(Event::Peer(me, msg));

@@ -352,8 +352,8 @@ fn exactly_once_counter_across_coordinator_kill_and_restart() {
         ClientId::new(3),
         ClientOptions {
             timeout: Duration::from_secs(30),
-            // Aggressive retries on purpose: under v1 this would
-            // over-count; under v2 the session table dedups them.
+            // Aggressive retries on purpose: without sessions this
+            // would over-count; the session table dedups them.
             retry_every: Duration::from_millis(300),
             ..ClientOptions::default()
         },
@@ -734,6 +734,14 @@ fn shutdown_closes_client_sockets() {
         }
     }
 
+    // A connection that never says hello (a stats probe) is closed too.
+    let mut probe = RawConn::connect(config.nodes[0].client_addr);
+    probe.send(&ClientMsg::StatsRequest { token: 7 });
+    assert!(
+        matches!(probe.recv(), Some(ClientReply::Stats { token: 7, .. })),
+        "stats probe answered"
+    );
+
     deployment.shutdown();
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     loop {
@@ -743,6 +751,159 @@ fn shutdown_closes_client_sockets() {
             Err(e) => panic!("no EOF within 2 s of shutdown: {e}"),
         }
     }
+    assert!(probe.reads_eof(), "hello-less probe: no EOF within 2 s");
+}
+
+/// A raw client-protocol connection, for tests that need frame-level
+/// control. Reads time out after 2 s.
+struct RawConn {
+    stream: std::net::TcpStream,
+    buf: common::transport::FrameBuf,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        RawConn {
+            stream,
+            buf: common::transport::FrameBuf::new(),
+        }
+    }
+
+    fn send(&mut self, msg: &common::wire::client::ClientMsg) {
+        self.send_raw(&common::transport::encode_frame(msg));
+    }
+
+    fn send_raw(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    /// The next reply, or `None` on EOF or after 2 s of silence.
+    fn recv(&mut self) -> Option<common::wire::client::ClientReply> {
+        use std::io::Read;
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(reply) = self.buf.try_next().unwrap() {
+                return Some(reply);
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return None,
+                Ok(n) => self.buf.extend(&chunk[..n]),
+            }
+        }
+    }
+
+    /// Whether the server closes the connection within 2 s, skipping
+    /// whatever it still sends before the close.
+    fn reads_eof(&mut self) -> bool {
+        use std::io::Read;
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let mut chunk = [0u8; 4096];
+        while std::time::Instant::now() < deadline {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return true,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return true,
+                Err(_) => return false,
+            }
+        }
+        false
+    }
+}
+
+/// A client may hold two connections to one node (a reconnect racing
+/// the old socket's close). Closing the *older* one must not evict the
+/// newer: replies keep reaching the client over the connection that
+/// is still open.
+#[test]
+fn closing_an_older_connection_keeps_the_newer_one_served() {
+    use common::ids::{RequestId, RingId};
+    use common::value::SESSION_CTL;
+    use common::wire::client::{ClientMsg, ClientReply, FEAT_ALL};
+    use multiring::session::{parse_open_reply, parse_reply, SessionCtl, ST_OK};
+
+    let text = generate_localhost_mrpstore(1, 1, base_port(130), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let addr = config.nodes[0].client_addr;
+    let hello = ClientMsg::HelloV2 {
+        client: ClientId::new(41),
+        features: FEAT_ALL,
+    };
+    let mut old = RawConn::connect(addr);
+    old.send(&hello);
+    assert!(matches!(old.recv(), Some(ClientReply::WelcomeV2 { .. })));
+    let mut new = RawConn::connect(addr);
+    new.send(&hello);
+    assert!(matches!(new.recv(), Some(ClientReply::WelcomeV2 { .. })));
+
+    old.stream.shutdown(std::net::Shutdown::Both).unwrap();
+    // Let the node see the close before anything is submitted.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let ring = RingId::new(0);
+    let submit = |conn: &mut RawConn, session, seq, cmd| {
+        conn.send(&ClientMsg::RequestV2 {
+            session,
+            seq: RequestId::new(seq),
+            ack: 0,
+            group: ring,
+            cmd,
+        })
+    };
+    // The first ResponseV2 for `seq`, skipping credit grants.
+    let response = |conn: &mut RawConn, want: u64| loop {
+        match conn
+            .recv()
+            .expect("reply within 2 s on the newer connection")
+        {
+            ClientReply::ResponseV2 { seq, payload, .. } if seq.raw() == want => break payload,
+            _ => {}
+        }
+    };
+    let open = SessionCtl::Open {
+        token: 1,
+        ttl_ms: 30_000,
+    };
+    submit(&mut new, SESSION_CTL, 1, open.to_bytes());
+    let session = parse_open_reply(&response(&mut new, 1)).expect("session opened");
+    let read = mrpstore::KvCommand::Read { key: "k".into() };
+    submit(&mut new, session, 1, read.to_bytes());
+    let (status, _) = parse_reply(&response(&mut new, 1)).unwrap();
+    assert_eq!(status, ST_OK);
+
+    deployment.shutdown();
+}
+
+/// Tags 0–2 belonged to a retired client protocol: a node that receives
+/// one of its frames (here its hello) drops that connection and keeps
+/// serving everyone else.
+#[test]
+fn retired_protocol_hello_drops_only_that_connection() {
+    let text = generate_localhost_mrpstore(1, 1, base_port(140), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(42), client_opts()).unwrap();
+    assert_eq!(
+        client.insert("a", Bytes::from_static(b"1")).unwrap(),
+        KvResponse::Ok
+    );
+
+    let mut old = RawConn::connect(config.nodes[0].client_addr);
+    // One frame: length 2, then tag 0 and client id 77.
+    old.send_raw(&[0x02, 0x00, 0x4d]);
+    assert!(old.reads_eof(), "retired hello: connection not dropped");
+
+    assert_eq!(
+        client.insert("b", Bytes::from_static(b"2")).unwrap(),
+        KvResponse::Ok
+    );
+    assert_eq!(client.read("a").unwrap(), Some(Bytes::from_static(b"1")));
+    deployment.shutdown();
 }
 
 /// Live key-range migration under load: a range moves from partition 0

@@ -38,8 +38,7 @@
 //! id — so a fanned-out command's session stamp resolves at every
 //! addressed partition. Allocation is deterministic, collision-free by
 //! construction (counters are per ring, the ring tag disambiguates),
-//! with no wall-clock or randomness anywhere (protocol v1 needed a
-//! wall-clock `seq_base` precisely because it lacked this).
+//! with no wall-clock or randomness anywhere.
 //!
 //! ## Liveness and expiry
 //!
@@ -87,7 +86,7 @@ pub const ST_STALE: u8 = 3;
 const RING_TAG_SHIFT: u32 = 48;
 
 /// Composes a ring-homed session id: the home ring (plus one, so the
-/// zero tag stays reserved for the v1/no-session namespace) in the top
+/// zero tag stays reserved for the no-session namespace) in the top
 /// 16 bits, a per-ring replicated counter below. Ids from different
 /// rings can never collide, and any holder of an id can recover the ring
 /// that owns the session's reply cache.
