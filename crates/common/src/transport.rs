@@ -2,10 +2,11 @@
 //!
 //! The sans-IO protocol state machines ([`crate::msg::Msg`] in, effects
 //! out) are driven by two very different runtimes: the discrete-event
-//! simulator and the live OS-thread runtimes (`ringpaxos::live` for bare
-//! rings, `liverun` for full multi-ring deployments). The live runtimes
-//! share three mechanical concerns, collected here so every event loop
-//! agrees on them:
+//! simulator and the live OS-thread event loops in `liverun` (the node
+//! runtime for multi-ring deployments, and the `amcoordd` replica loop
+//! for the coordination service's bare ring). The live loops share
+//! these mechanical concerns, collected here so every event loop agrees
+//! on them:
 //!
 //! * [`WallClock`] — maps wall-clock `Instant`s onto the virtual
 //!   [`SimTime`] axis the protocol code reasons in. All nodes of one

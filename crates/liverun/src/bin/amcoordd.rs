@@ -27,44 +27,52 @@ fn usage() -> &'static str {
            [--wal-dir DIR] [--session-check-ms MS] [--checkpoint-every N]"
 }
 
-fn arg(name: &str) -> Option<String> {
+/// The value following flag `name`: `Ok(None)` when the flag is absent,
+/// `Err` when it is the last argument.
+fn arg(name: &str) -> Result<Option<String>, ()> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => args.get(i + 1).cloned().map(Some).ok_or(()),
+    }
 }
 
-fn addr_list(raw: &str) -> Option<Vec<std::net::SocketAddr>> {
+/// Flag `name` parsed as a `T`, `default` when absent; `Err` when it is
+/// present but has no value or does not parse.
+fn parsed<T: std::str::FromStr>(name: &str, default: T) -> Result<T, ()> {
+    match arg(name)? {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| ()),
+    }
+}
+
+fn addr_list(raw: &str) -> Result<Vec<std::net::SocketAddr>, ()> {
     raw.split(',')
-        .map(|a| a.trim().parse().ok())
-        .collect::<Option<Vec<_>>>()
-        .filter(|v| !v.is_empty())
+        .map(|a| a.trim().parse().map_err(|_| ()))
+        .collect::<Result<Vec<_>, ()>>()
+        .and_then(|v| if v.is_empty() { Err(()) } else { Ok(v) })
+}
+
+fn parse_config() -> Result<CoordServerConfig, ()> {
+    let required = |name: &str| arg(name)?.ok_or(());
+    Ok(CoordServerConfig {
+        id: NodeId::new(required("--id")?.parse().map_err(|_| ())?),
+        ring_addrs: addr_list(&required("--ring")?)?,
+        client_addrs: addr_list(&required("--serve")?)?,
+        wal_dir: arg("--wal-dir")?.map(std::path::PathBuf::from),
+        session_check: Duration::from_millis(parsed("--session-check-ms", 500)?),
+        checkpoint_every: parsed("--checkpoint-every", 256)?,
+    })
 }
 
 fn main() -> ExitCode {
-    let (Some(id), Some(ring), Some(serve)) = (
-        arg("--id").and_then(|v| v.parse::<u32>().ok()),
-        arg("--ring").and_then(|v| addr_list(&v)),
-        arg("--serve").and_then(|v| addr_list(&v)),
-    ) else {
+    // A malformed flag fails loudly: falling back to its default would
+    // silently drop the operator's setting.
+    let Ok(config) = parse_config() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let config = CoordServerConfig {
-        id: NodeId::new(id),
-        ring_addrs: ring,
-        client_addrs: serve,
-        wal_dir: arg("--wal-dir").map(std::path::PathBuf::from),
-        session_check: Duration::from_millis(
-            arg("--session-check-ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(500),
-        ),
-        checkpoint_every: arg("--checkpoint-every")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256),
-    };
+    let id = config.id.raw();
     match start_coord_server(config) {
         Ok(handle) => {
             eprintln!(

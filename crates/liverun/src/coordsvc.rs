@@ -4,12 +4,20 @@
 //! that serves as the service's replicated log — the stack is
 //! self-hosting: the consensus protocol whose deployments amcoord
 //! coordinates also orders amcoord's own state changes. No new consensus
-//! code exists here; a replica is
+//! code exists here. A replica is one loop thread, `amcoord-srv-<id>`,
+//! that owns
 //!
-//! * one [`ringpaxos::live::spawn_tcp_member`] node (the log),
-//! * one [`coord::CoordState`] applied in decided order (the state),
-//! * a framed-TCP front end speaking [`common::wire::coord`] to clients
-//!   (liverun nodes, CLIs, fellow replicas).
+//! * one [`ringpaxos::RingNode`] (the log), talking to the other replicas
+//!   over the node runtime's peer transport,
+//! * the replica's decided-log WAL and one [`coord::CoordState`] applied
+//!   in decided order (the state),
+//!
+//! plus a framed-TCP front end speaking [`common::wire::coord`] to clients
+//! (liverun nodes, CLIs, fellow replicas), whose reader threads feed the
+//! loop. Each loop step feeds peer messages, proposals and due timers
+//! into the ring node, group-commits every value the step decided once,
+//! and only then applies them in order — through the same function WAL
+//! replay uses — and answers the waiting clients.
 //!
 //! Mutating operations are proposed to the ring tagged with the serving
 //! replica and a sequence number; when the decision comes back around,
@@ -42,12 +50,12 @@
 //! *prunes* the log: closed segments whose records all sit below the
 //! checkpoint cursor are deleted, so checkpoints bound replay **and**
 //! rotation bounds disk. Boot follows Zookeeper's snapshot + log-replay
-//! recipe: load the latest checkpoint, replay the
-//! WAL suffix at or beyond its cursor, spawn the ring member with the
-//! recovered delivery cursor, then — before serving clients — fetch a
-//! [`CoordOp::SnapshotRequest`] snapshot from a live peer and install it
-//! if it is ahead (the jump is checkpointed before the learner cursor
-//! moves, so a crash never leaves a hole between checkpoint and log). A
+//! recipe: load the latest checkpoint, replay the WAL suffix at or beyond
+//! its cursor, fetch a [`CoordOp::SnapshotRequest`] snapshot from a live
+//! peer and install it if it is ahead (the jump is checkpointed before the
+//! cursor moves, so a crash never leaves a hole between checkpoint and
+//! log), re-admit the replica to the ensemble's ring — and only then
+//! create the ring member at the final cursor and serve clients. A
 //! sweep-time watchdog repeats the peer fetch if the learner ever blocks
 //! on a gap the ring will not re-circulate. One caveat remains: the
 //! acceptor's *vote* log is volatile, so safety across a restart leans on
@@ -58,27 +66,30 @@ use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use bytes::Bytes;
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
 use common::error::{Error, Result};
 use common::ids::{InstanceId, NodeId, RingId, SessionId};
-use common::msg::AcceptedEntry;
-use common::transport::{encode_frame, FrameBuf};
+use common::msg::{AcceptedEntry, Msg, RingMsg};
+use common::obs::{Counter, Gauge, Obs};
+use common::transport::{encode_frame, FrameBuf, TimerHeap, WallClock};
 use common::value::Value;
-use common::wire::coord::{CoordCmd, CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, OpKind};
+use common::wire::coord::{
+    CoordCmd, CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, OpKind, RingConfigWire,
+};
 use common::wire::Wire;
+use common::Ballot;
+use coord::state::ApplyResult;
 use coord::{CoordState, Registry, RingConfig};
-use ringpaxos::live::{spawn_tcp_member, Delivery, LiveNode};
-use ringpaxos::options::RingOptions;
+use ringpaxos::{Output, RingNode, RingOptions, RingTimer};
 use storage::checkpoint::CheckpointFile;
-use storage::wal::{SegmentedWal, SyncPolicy};
+use storage::wal::{DecidedLog, SegmentedWal, SyncPolicy};
 
-use crate::node::{spawn_listener, ListenerHandle};
+use crate::node::{spawn_listener, spawn_peer_reader, ListenerHandle, PeerTransport};
 
 /// The ring id the ensemble replicates its own log on (a private
 /// namespace — this ring never appears in any deployment's registry).
@@ -207,12 +218,10 @@ enum SrvEvent {
     Msg(u64, CoordMsg),
     /// A connection closed.
     Gone(u64),
-    /// The replicated log decided a value at an instance.
-    Deliver(Delivery),
-    /// Our own consensus ring reconfigured; gossip it to the peers.
-    Gossip(common::wire::coord::RingConfigWire),
+    /// A ring message from a fellow replica.
+    Ring(NodeId, RingMsg),
     /// A gap-watchdog peer fetch finished (off-thread — the fetch can
-    /// block seconds and must not stall serving), `None` if no peer
+    /// block seconds and must not stall the ring), `None` if no peer
     /// answered.
     CatchUp(Option<PeerSnapshot>),
     /// Stop the replica.
@@ -222,13 +231,9 @@ enum SrvEvent {
 /// Adopts a peer's view of the ensemble's own consensus ring and
 /// re-admits `me` if that view no longer contains it (the survivors
 /// detected our death and reconfigured around us). Both steps are
-/// epoch-guarded local CASes whose RingChanged events the gossip feed
-/// relays to the peers.
-fn rejoin_ensemble_ring(
-    ring_registry: &Registry,
-    me: NodeId,
-    peer_ring: Option<common::wire::coord::RingConfigWire>,
-) {
+/// epoch-guarded local CASes whose RingChanged events the loop gossips
+/// to the peers.
+fn rejoin_ensemble_ring(ring_registry: &Registry, me: NodeId, peer_ring: Option<RingConfigWire>) {
     let Some(wire) = peer_ring else { return };
     let _ = ring_registry.install_config(wire);
     if let Ok(cur) = ring_registry.ring(COORD_RING) {
@@ -238,74 +243,11 @@ fn rejoin_ensemble_ring(
     }
 }
 
-/// Writes a checkpoint of the applied state if the cadence marked one
-/// due. Failures (full disk, torn rename target) leave `due` set so the
-/// next applied record retries; the WAL remains authoritative either
-/// way. On success the decided log is pruned: segments wholly below the
-/// durably checkpointed cursor can never be needed by a replay again.
-fn checkpoint_if_due(
-    durable: &mut ReplicaDurability,
-    live: &LiveNode,
-    since_ckpt: &mut u64,
-    due: &mut bool,
-) {
-    if !*due {
-        return;
-    }
-    let Some(slot) = &durable.ckpt else {
-        *since_ckpt = 0;
-        *due = false;
-        return;
-    };
-    if slot
-        .save(durable.applied.raw(), &durable.state.snapshot())
-        .is_ok()
-    {
-        *since_ckpt = 0;
-        *due = false;
-        live.prune_decided_log(durable.applied);
-    }
-}
-
-/// Installs a peer snapshot into `durable` if it is ahead. The jump is
-/// checkpointed durably *before* the state and learner cursor move:
-/// subsequent WAL appends continue from the new cursor, so a replay must
-/// never have to cross the hole between the old cursor and the snapshot.
-///
-/// Returns `Ok(true)` when our state is now at least as current as the
-/// peer's answer (installed, or we were already ahead). `Ok(false)`
-/// means the peer is ahead but its snapshot did not decode (version
-/// skew, corruption) — the caller must keep trying, **not** conclude it
-/// caught up.
-fn install_snapshot(
-    durable: &mut ReplicaDurability,
-    live: &LiveNode,
-    peer_applied: u64,
-    bytes: &bytes::Bytes,
-) -> Result<bool> {
-    if peer_applied <= durable.applied.raw() {
-        return Ok(true);
-    }
-    let Ok(state) = CoordState::decode_snapshot(&mut bytes.clone()) else {
-        return Ok(false);
-    };
-    if let Some(slot) = &durable.ckpt {
-        slot.save(peer_applied, bytes)?;
-        // The jump is durable: everything below it is checkpoint-covered,
-        // so rotated log segments below the new cursor can go.
-        live.prune_decided_log(InstanceId::new(peer_applied));
-    }
-    durable.state = state;
-    durable.applied = InstanceId::new(peer_applied);
-    live.set_delivery_cursor(durable.applied);
-    Ok(true)
-}
-
 /// Handle to one running amcoordd replica.
 pub struct CoordServerHandle {
     tx: Sender<SrvEvent>,
     join: Option<JoinHandle<()>>,
-    listener: Option<ListenerHandle>,
+    listeners: Vec<ListenerHandle>,
     client_addr: SocketAddr,
 }
 
@@ -315,10 +257,10 @@ impl CoordServerHandle {
         self.client_addr
     }
 
-    /// Stops the replica: closes the listener, stops the loop (which
-    /// stops the ring member), joins the loop thread.
+    /// Stops the replica: closes the peer and client listeners, stops
+    /// the loop (and with it the ring member), joins the loop thread.
     pub fn shutdown(mut self) {
-        if let Some(l) = self.listener.take() {
+        for l in self.listeners.drain(..) {
             l.stop();
         }
         let _ = self.tx.send(SrvEvent::Shutdown);
@@ -341,40 +283,46 @@ pub fn checkpoint_path(dir: &std::path::Path, id: NodeId) -> PathBuf {
     dir.join(format!("amcoord-{}.ckpt", id.raw()))
 }
 
-/// Replays one decided-log record into `state`, advancing `applied`.
-/// Records below the cursor (already covered by a checkpoint or a peer
-/// snapshot) are skipped; non-[`CoordCmd`] payloads (no-ops, skips)
-/// advance the cursor without touching state. Events are discarded —
-/// nobody is watching a replica that has not started serving.
+/// Why [`apply_log_entry`] left a decided-log record unapplied.
+enum Unapplied {
+    /// Below the cursor: a checkpoint or a peer snapshot covers it.
+    Covered,
+    /// Beyond the cursor: a hole, never crossed.
+    Hole,
+}
+
+/// Applies one decided-log record to `state`, advancing `applied` — the
+/// one apply path of live delivery and WAL replay. Returns the command
+/// with its result and watch events; `None` for payloads that are not a
+/// [`CoordCmd`] (no-ops, skips), which only advance the cursor.
 ///
-/// Returns `false` on a **hole**: a record *beyond* the cursor. The log
-/// is contiguous in normal operation, but a peer-snapshot install jumps
+/// Refuses a **hole**: a record *beyond* the cursor. The log is
+/// contiguous in normal operation, but a peer-snapshot install jumps
 /// the cursor past instances this replica never logged; if the
-/// checkpoint recording that jump is later lost (corrupt slot falls
-/// back to whole-log replay), crossing the hole would silently build
-/// divergent state. The caller must stop replaying — a consistent
-/// prefix plus peer catch-up is correct, a gapped replay is not.
-#[must_use]
+/// checkpoint recording that jump is later lost (corrupt slot falls back
+/// to whole-log replay), crossing the hole would silently build
+/// divergent state. Replay stops there — a consistent prefix plus peer
+/// catch-up is correct, a gapped replay is not.
 fn apply_log_entry(
     state: &mut CoordState,
     applied: &mut InstanceId,
     inst: InstanceId,
     value: &Value,
-) -> bool {
+) -> std::result::Result<Option<(CoordCmd, ApplyResult, Vec<CoordEvent>)>, Unapplied> {
     if inst < *applied {
-        return true;
+        return Err(Unapplied::Covered);
     }
     if inst > *applied {
-        return false;
-    }
-    if let Some(bytes) = value.payload() {
-        let mut raw = bytes.clone();
-        if let Ok(cmd) = CoordCmd::decode(&mut raw) {
-            let _ = state.apply(&cmd.op);
-        }
+        return Err(Unapplied::Hole);
     }
     *applied = inst.plus(value.instance_span());
-    true
+    let cmd = value
+        .payload()
+        .and_then(|bytes| CoordCmd::decode(&mut bytes.clone()).ok());
+    Ok(cmd.map(|cmd| {
+        let (result, events) = state.apply(&cmd.op);
+        (cmd, result, events)
+    }))
 }
 
 /// A peer's answer to the catch-up RPC.
@@ -473,22 +421,152 @@ fn fetch_one_snapshot(addr: SocketAddr, timeout: Duration) -> Option<PeerSnapsho
     None
 }
 
-/// Everything the server loop needs to drive durable state.
-struct ReplicaDurability {
+/// The replica's state machine with its decided log and checkpoint —
+/// everything boot recovers before the ring member exists.
+struct Durable {
     state: CoordState,
+    /// The next log instance to apply (everything below is in `state`).
     applied: InstanceId,
+    wal: Option<SegmentedWal>,
     ckpt: Option<CheckpointFile>,
     checkpoint_every: u64,
+    /// Records applied since the last checkpoint.
+    since_ckpt: u64,
+}
+
+impl Durable {
+    /// Recovers the replica's durable state: the latest checkpoint, then
+    /// the WAL suffix at or beyond its cursor (Zookeeper's snapshot + log
+    /// replay, §7.1 analogue). Without a `wal_dir` the state starts empty.
+    fn recover(config: &CoordServerConfig) -> Result<Self> {
+        let mut durable = Durable {
+            state: CoordState::new(),
+            applied: InstanceId::ZERO,
+            wal: None,
+            ckpt: None,
+            checkpoint_every: config.checkpoint_every,
+            since_ckpt: 0,
+        };
+        let Some(dir) = &config.wal_dir else {
+            return Ok(durable);
+        };
+        std::fs::create_dir_all(dir)?;
+        let seg_dir = wal_seg_dir(dir, config.id);
+        // Open (taking the directory's writer lock) *before* reading
+        // anything: a previous owner still flushing its final group
+        // commit would otherwise race our replay to the log tail (open
+        // refuses a live holder and steals only dead-pid locks). Segments
+        // roll every `checkpoint_every` records so each periodic
+        // checkpoint retires roughly one segment.
+        let roll_every = if config.checkpoint_every > 0 {
+            config.checkpoint_every
+        } else {
+            4096
+        };
+        let wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, roll_every)?;
+        let slot = CheckpointFile::new(checkpoint_path(dir, config.id));
+        if let Some((cursor, bytes)) = slot.load() {
+            if let Ok(st) = CoordState::decode_snapshot(&mut bytes.clone()) {
+                durable.state = st;
+                durable.applied = InstanceId::new(cursor);
+            }
+            // A corrupt checkpoint falls back to whole-log replay.
+        }
+        for (_, rec) in SegmentedWal::replay::<AcceptedEntry>(&seg_dir)? {
+            let (state, applied) = (&mut durable.state, &mut durable.applied);
+            if let Err(Unapplied::Hole) = apply_log_entry(state, applied, rec.inst, &rec.value) {
+                break; // stop at the consistent prefix
+            }
+        }
+        durable.wal = Some(wal);
+        durable.ckpt = Some(slot);
+        Ok(durable)
+    }
+
+    /// Group commit: stages every value one loop step decided and hits
+    /// the log (and, under its sync policy, the disk) once.
+    fn commit(&mut self, decided: &[(InstanceId, Value)]) {
+        let Some(wal) = &mut self.wal else { return };
+        for (inst, value) in decided {
+            wal.stage(inst.raw(), &mut |buf| {
+                AcceptedEntry {
+                    inst: *inst,
+                    vballot: Ballot::ZERO,
+                    value: value.clone(),
+                }
+                .encode(buf)
+            });
+        }
+        let _ = wal.commit();
+    }
+
+    /// Counts one applied record and checkpoints the state every
+    /// `checkpoint_every` of them. A failed save (full disk, torn rename
+    /// target) retries on the next record; the WAL remains authoritative
+    /// either way. A successful one prunes the log: segments wholly below
+    /// the checkpointed cursor can never be needed by a replay again.
+    fn note_applied(&mut self) {
+        let Some(slot) = &self.ckpt else { return };
+        if self.checkpoint_every == 0 {
+            return;
+        }
+        self.since_ckpt += 1;
+        if self.since_ckpt >= self.checkpoint_every
+            && slot
+                .save(self.applied.raw(), &self.state.snapshot())
+                .is_ok()
+        {
+            self.since_ckpt = 0;
+            self.prune_below(self.applied);
+        }
+    }
+
+    fn prune_below(&mut self, pos: InstanceId) {
+        if let Some(wal) = &mut self.wal {
+            let _ = wal.prune_below(pos.raw());
+        }
+    }
+
+    /// Installs a peer snapshot if it is ahead. The jump is checkpointed
+    /// durably *before* the state moves: later WAL appends continue from
+    /// the new cursor, so a replay must never have to cross the hole
+    /// between the old cursor and the snapshot.
+    ///
+    /// Returns `Ok(true)` when our state is now at least as current as
+    /// the peer's answer (installed, or we were already ahead).
+    /// `Ok(false)` means the peer is ahead but its snapshot did not
+    /// decode (version skew, corruption) — the caller must keep trying,
+    /// **not** conclude it caught up.
+    fn install_snapshot(&mut self, peer_applied: u64, bytes: &Bytes) -> Result<bool> {
+        if peer_applied <= self.applied.raw() {
+            return Ok(true);
+        }
+        let Ok(state) = CoordState::decode_snapshot(&mut bytes.clone()) else {
+            return Ok(false);
+        };
+        if let Some(slot) = &self.ckpt {
+            slot.save(peer_applied, bytes)?;
+            // The jump is durable: everything below it is
+            // checkpoint-covered, so log segments below it can go.
+            self.prune_below(InstanceId::new(peer_applied));
+        }
+        self.state = state;
+        self.applied = InstanceId::new(peer_applied);
+        self.since_ckpt = 0;
+        Ok(true)
+    }
 }
 
 /// Starts one amcoordd replica of `config`.
 ///
-/// With a `wal_dir`, boot is the recovery path: latest checkpoint + WAL
-/// suffix are replayed into the state machine, the ring member comes up
-/// at the recovered delivery cursor, and a live peer's snapshot is
-/// fetched (and installed if ahead) *before* the client listener binds —
-/// a restarted replica never serves reads older than what the ensemble
-/// committed while it was down, and never needs a fresh ensemble.
+/// Boot is the recovery path: with a `wal_dir`, the latest checkpoint
+/// and the WAL suffix are replayed into the state machine; then a live
+/// peer's snapshot is fetched (and installed if ahead) and the replica
+/// re-admits itself to the ensemble's ring if the survivors reconfigured
+/// it out. Only then is the ring member created, at the final delivery
+/// cursor, and the listeners bound — a restarted replica never serves
+/// reads older than what the ensemble committed while it was down, and
+/// never needs a fresh ensemble.
 ///
 /// # Errors
 ///
@@ -501,92 +579,28 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
 
     // The ensemble's own ring lives in a local registry seeded from the
     // static replica list; InstallConfig gossip keeps replicas aligned
-    // across failovers (see module docs).
+    // across failovers (see module docs). The loop gossips every change
+    // it watches — including the rejoin below, so watch first.
     let ring_registry = Registry::new();
     ring_registry.register_ring(RingConfig::new(
         COORD_RING,
         members.clone(),
         members.clone(),
     )?)?;
+    let watch = ring_registry.watch();
 
-    let ring_addr_map: HashMap<NodeId, SocketAddr> = members
-        .iter()
-        .copied()
-        .zip(config.ring_addrs.iter().copied())
-        .collect();
-
-    // Durable recovery: checkpoint, then the WAL suffix at/beyond its
-    // cursor (Zookeeper's snapshot + log replay, §7.1 analogue).
-    let mut durable = ReplicaDurability {
-        state: CoordState::new(),
-        applied: InstanceId::ZERO,
-        ckpt: None,
-        checkpoint_every: config.checkpoint_every,
-    };
-    let wal: Option<Box<dyn storage::wal::DecidedLog>> = match &config.wal_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)?;
-            let seg_dir = wal_seg_dir(dir, me);
-            // Open (taking the directory's writer lock) *before* reading
-            // anything: a previous owner still flushing its final group
-            // commit would otherwise race our replay to the log tail
-            // (open refuses a live holder and steals only dead-pid
-            // locks). Segments roll every `checkpoint_every` records so
-            // each periodic checkpoint retires roughly one segment.
-            let roll_every = if config.checkpoint_every > 0 {
-                config.checkpoint_every
-            } else {
-                4096
-            };
-            let wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, roll_every)?;
-            let slot = CheckpointFile::new(checkpoint_path(dir, me));
-            if let Some((cursor, bytes)) = slot.load() {
-                if let Ok(st) = CoordState::decode_snapshot(&mut bytes.clone()) {
-                    durable.state = st;
-                    durable.applied = InstanceId::new(cursor);
-                }
-                // A corrupt checkpoint falls back to whole-log replay.
-            }
-            for (_, rec) in SegmentedWal::replay::<AcceptedEntry>(&seg_dir)? {
-                if !apply_log_entry(
-                    &mut durable.state,
-                    &mut durable.applied,
-                    rec.inst,
-                    &rec.value,
-                ) {
-                    break; // hole: stop at the consistent prefix
-                }
-            }
-            durable.ckpt = Some(slot);
-            Some(Box::new(wal))
-        }
-        None => None,
-    };
+    let mut durable = Durable::recover(&config)?;
 
     // Per-process metrics registry. Restart-in-place semantics: the
     // monotonic apply counter is re-seeded from the recovered delivery
     // cursor (it survives the restart the same way the state does),
     // while volatile gauges start from zero.
-    let obs = common::obs::Obs::for_node(me.raw());
+    let obs = Obs::for_node(me.raw());
     obs.reset_gauges();
     obs.counter("coord_applied").seed(durable.applied.raw());
-
-    let opts = RingOptions {
-        heartbeat_interval: Duration::from_millis(25),
-        failure_timeout: Duration::from_millis(400),
-        proposal_retry: Duration::from_millis(300),
-        obs: obs.clone(),
-        ..RingOptions::default()
-    };
-    let live = Arc::new(spawn_tcp_member(
-        me,
-        COORD_RING,
-        ring_registry.clone(),
-        &ring_addr_map,
-        opts,
-        wal,
-        durable.applied,
-    )?);
+    if let Some(wal) = &mut durable.wal {
+        wal.instrument(&obs);
+    }
 
     // Catch the tail up from a live peer before serving: everything the
     // ensemble decided while this replica was down is in some peer's
@@ -604,125 +618,119 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     // decisions → no buffered gap) and a behind replica could serve
     // stale reads indefinitely.
     let mut catchup_needed = !peer_clients.is_empty();
-    let peer_ring = match fetch_peer_snapshot(&peer_clients, Duration::from_secs(2)) {
-        Some(snap) => {
-            match install_snapshot(&mut durable, &live, snap.applied, &snap.state) {
-                // Caught up only if we are now at least as current as
-                // the answering peer — an undecodable snapshot from an
-                // ahead peer must keep the sweep retrying.
-                Ok(current) => catchup_needed = !current,
-                Err(e) => {
-                    // The ring member is already running; leaving it up
-                    // would hold its port and WAL lock for the life of
-                    // the process even though this start failed.
-                    live.stop();
-                    return Err(e);
-                }
-            }
-            snap.ensemble_ring
-        }
-        None => None,
+    if let Some(snap) = fetch_peer_snapshot(&peer_clients, Duration::from_secs(2)) {
+        // Caught up only if we are now at least as current as the
+        // answering peer — an undecodable snapshot from an ahead peer
+        // must keep the sweep retrying.
+        catchup_needed = !durable.install_snapshot(snap.applied, &snap.state)?;
+        // Rejoin the ensemble's own consensus ring if the survivors
+        // reconfigured this replica out while it was down: adopt their
+        // (newer-epoch) view, then re-admit ourselves with the same
+        // deterministic local CAS data rings use. The loop gossips the
+        // RingChanged events, so the survivors install the rejoined
+        // config and their coordinator re-runs Phase 1 around us.
+        rejoin_ensemble_ring(&ring_registry, me, snap.ensemble_ring);
+    }
+
+    let opts = RingOptions {
+        heartbeat_interval: Duration::from_millis(25),
+        failure_timeout: Duration::from_millis(400),
+        proposal_retry: Duration::from_millis(300),
+        obs: obs.clone(),
+        ..RingOptions::default()
     };
+    let mut node = RingNode::new(me, COORD_RING, ring_registry.clone(), opts)?;
+    // Recovered state covers everything below the cursor: the learner
+    // resumes there instead of re-delivering it.
+    node.set_next_delivery(durable.applied);
+
+    let ring_listener = TcpListener::bind(config.ring_addrs[me.raw() as usize])?;
+    let client_listener = TcpListener::bind(config.client_addrs[me.raw() as usize])?;
+    let client_addr = client_listener.local_addr()?;
 
     let (tx, rx) = unbounded::<SrvEvent>();
-
-    // Delivery pump: decided log entries into the server loop.
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let live = Arc::clone(&live);
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("amcoord-pump-{}", me.raw()))
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    if let Ok(d) = live.recv_delivery(Duration::from_millis(200)) {
-                        if tx.send(SrvEvent::Deliver(d)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            })
-            .map_err(Error::Io)?;
-    }
-
-    // Gossip feed: watch our own registry for coord-ring epoch bumps.
-    {
-        let watch = ring_registry.watch();
-        let tx = tx.clone();
-        std::thread::Builder::new()
-            .name(format!("amcoord-gossip-{}", me.raw()))
-            .spawn(move || {
-                while let Ok(event) = watch.recv() {
-                    if let CoordEvent::RingChanged { cfg } = event {
-                        if cfg.ring == COORD_RING && tx.send(SrvEvent::Gossip(cfg)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            })
-            .map_err(Error::Io)?;
-    }
-
-    // Rejoin the ensemble's own consensus ring if the survivors
-    // reconfigured this replica out while it was down: adopt their
-    // (newer-epoch) view, then re-admit ourselves with the same
-    // deterministic local CAS data rings use. The RingChanged events
-    // flow through the gossip feed just armed above, so the survivors
-    // install the rejoined config and their coordinator re-runs Phase 1
-    // around us.
-    rejoin_ensemble_ring(&ring_registry, me, peer_ring);
-
-    let client_addr = config.client_addrs[me.raw() as usize];
-    let (client_addr, listener) =
-        match TcpListener::bind(client_addr).and_then(|l| Ok((l.local_addr()?, l))) {
-            Ok(pair) => pair,
-            Err(e) => {
-                // See the install_snapshot error path above — and stop
-                // the pump *first*: with the node loop gone its delivery
-                // channel disconnects, recv_delivery returns instantly,
-                // and the `!stop` loop would hot-spin forever.
-                stop.store(true, Ordering::SeqCst);
-                live.stop();
-                return Err(Error::Io(e));
-            }
-        };
-    let tx_conns = tx.clone();
-    let next_conn = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let listener = spawn_listener(
-        listener,
-        format!("amcoord-clients-{}", me.raw()),
-        move |stream| {
-            let conn = next_conn.fetch_add(1, Ordering::SeqCst);
-            spawn_conn_reader(conn, stream, tx_conns.clone());
-        },
-    );
-
+    let ring_addrs = members
+        .iter()
+        .copied()
+        .zip(config.ring_addrs.iter().copied())
+        .collect();
     let session_check = config.session_check;
-    let loop_tx = tx.clone();
+    let replica = Replica {
+        me,
+        node,
+        out: Output::new(),
+        timers: TimerHeap::new(),
+        clock: WallClock::start(),
+        transport: PeerTransport::new(me, ring_addrs, &obs),
+        ring_registry,
+        coord_applied: obs.counter("coord_applied"),
+        session_count: obs.gauge("session_count"),
+        obs,
+        conns: HashMap::new(),
+        pending: HashMap::new(),
+        // Command sequence numbers become ValueIds in the replicated log
+        // and the ring dedups by id, so they must never repeat across
+        // replica incarnations (a restarted replica re-proposing seq 1
+        // would see its command silently swallowed). Wall-clock
+        // microseconds since the epoch are monotone across restarts for
+        // any realistic downtime.
+        next_cmd: std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(1),
+        // Wall-clock session liveness, driven by *applied* keep-alives.
+        // Sessions recovered from the checkpoint/WAL/peer snapshot get a
+        // fresh grace stamp: their owners may well be alive and
+        // keep-alive'ing — expiring them at boot because *we* never saw
+        // a keep-alive would churn every ephemeral in the system.
+        session_seen: durable
+            .state
+            .sessions()
+            .map(|(id, _)| (id, Instant::now()))
+            .collect(),
+        expiring: HashSet::new(),
+        durable,
+        peer_clients,
+        gossip: HashMap::new(),
+        session_check,
+        next_sweep: Instant::now() + session_check,
+        catchup_needed,
+        gap_since: None,
+        catchup_inflight: false,
+        self_tx: tx.clone(),
+    };
     let join = std::thread::Builder::new()
         .name(format!("amcoord-srv-{}", me.raw()))
-        .spawn(move || {
-            server_loop(
-                me,
-                live,
-                ring_registry,
-                rx,
-                loop_tx,
-                peer_clients,
-                session_check,
-                durable,
-                catchup_needed,
-                obs,
-            );
-            stop.store(true, Ordering::SeqCst);
-        })
+        .spawn(move || replica.run(&rx, &watch))
         .map_err(Error::Io)?;
+
+    let ring_tx = tx.clone();
+    let ring_listener = spawn_listener(
+        ring_listener,
+        format!("amcoord-peers-{}", me.raw()),
+        move |stream| {
+            let tx = ring_tx.clone();
+            spawn_peer_reader(stream, move |from, msg| match msg {
+                Msg::Ring(COORD_RING, msg) => tx.send(SrvEvent::Ring(from, msg)).is_ok(),
+                _ => true,
+            });
+        },
+    );
+    let conn_tx = tx.clone();
+    let mut next_conn = 0u64;
+    let client_listener = spawn_listener(
+        client_listener,
+        format!("amcoord-clients-{}", me.raw()),
+        move |stream| {
+            next_conn += 1;
+            spawn_conn_reader(next_conn, stream, conn_tx.clone());
+        },
+    );
 
     Ok(CoordServerHandle {
         tx,
         join: Some(join),
-        listener: Some(listener),
+        listeners: vec![ring_listener, client_listener],
         client_addr,
     })
 }
@@ -763,76 +771,137 @@ fn spawn_conn_reader(conn: u64, mut stream: TcpStream, tx: Sender<SrvEvent>) {
     });
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn server_loop(
-    me: NodeId,
-    live: Arc<LiveNode>,
-    ring_registry: Registry,
-    rx: Receiver<SrvEvent>,
-    self_tx: Sender<SrvEvent>,
-    peer_clients: Vec<SocketAddr>,
-    session_check: Duration,
-    mut durable: ReplicaDurability,
-    mut catchup_needed: bool,
-    obs: common::obs::Obs,
-) {
-    let coord_applied = obs.counter("coord_applied");
-    let session_count = obs.gauge("session_count");
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    /// A replicated command this replica proposed for a waiting client.
-    struct Pending {
-        conn: u64,
-        req: u64,
-        at: Instant,
-    }
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    // Command sequence numbers become ValueIds in the replicated log and
-    // the ring dedups by id, so they must never repeat across replica
-    // incarnations (a restarted replica re-proposing seq 1 would see its
-    // command silently swallowed). Wall-clock microseconds since the
-    // epoch are monotone across restarts for any realistic downtime.
-    let mut next_cmd: u64 = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(1);
-    // Wall-clock session liveness, driven by *applied* keep-alives.
-    // Sessions recovered from the checkpoint/WAL/peer snapshot get a
-    // fresh grace stamp: their owners may well be alive and
-    // keep-alive'ing — expiring them at boot because *we* never saw a
-    // keep-alive would churn every ephemeral in the system.
-    let mut session_seen: HashMap<SessionId, Instant> = durable
-        .state
-        .sessions()
-        .map(|(id, _)| (id, Instant::now()))
-        .collect();
-    // Sessions with an expiry proposal in flight (don't re-propose every
-    // sweep).
-    let mut expiring: HashSet<SessionId> = HashSet::new();
-    let mut gossip_conns: HashMap<SocketAddr, TcpStream> = HashMap::new();
-    let mut next_sweep = Instant::now() + session_check;
-    // Applied records since the last checkpoint, and whether the cadence
-    // says one is due (written right after the pending apply lands).
-    let mut since_ckpt: u64 = 0;
-    let mut next_ckpt_due = false;
-    // When the learner first reported being blocked on a delivery gap,
-    // and whether a watchdog fetch is already out.
-    let mut gap_since: Option<Instant> = None;
-    let mut catchup_inflight = false;
+/// Starts the gossip link to the peer replica serving clients at `addr`:
+/// a bounded queue of encoded [`CoordOp::InstallConfig`] frames and a
+/// thread that connects and writes them. The loop drives the ring, so it
+/// never connects or writes to a peer itself — an unreachable or stalled
+/// peer costs this thread, not heartbeats. Gossip is fire-and-forget: a
+/// frame the peer cannot take (full queue, failed reconnect) is dropped,
+/// and the next reconfiguration gossips again.
+fn gossip_link(me: NodeId, addr: SocketAddr) -> Sender<Bytes> {
+    let (tx, rx) = bounded::<Bytes>(64);
+    let _ = std::thread::Builder::new()
+        .name(format!("amcoord-gossip-{}", me.raw()))
+        .spawn(move || {
+            let mut conn: Option<TcpStream> = None;
+            while let Ok(frame) = rx.recv() {
+                // A connection the peer closed since the last frame fails
+                // its first write; retry once on a fresh one.
+                for _attempt in 0..2 {
+                    if conn.is_none() {
+                        match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
+                            Ok(s) => {
+                                let _ = s.set_nodelay(true);
+                                conn = Some(s);
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                    if conn.as_mut().is_some_and(|s| s.write_all(&frame).is_ok()) {
+                        break;
+                    }
+                    conn = None;
+                }
+            }
+        });
+    tx
+}
 
-    loop {
-        let sleep = next_sweep
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(200));
-        let event = match rx.recv_timeout(sleep) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+/// A replicated command this replica proposed for a waiting client.
+struct Pending {
+    conn: u64,
+    req: u64,
+    at: Instant,
+}
+
+/// Everything the `amcoord-srv-<id>` loop owns: the ring member and its
+/// timers and transport, the durable state machine, and the client
+/// front end's connections and waiting requests.
+struct Replica {
+    me: NodeId,
+    node: RingNode,
+    /// The ring member's effects of the current step.
+    out: Output,
+    timers: TimerHeap<RingTimer>,
+    clock: WallClock,
+    transport: PeerTransport,
+    /// The ensemble's own ring (see the module docs).
+    ring_registry: Registry,
+    durable: Durable,
+    obs: Obs,
+    coord_applied: Counter,
+    session_count: Gauge,
+    conns: HashMap<u64, ConnState>,
+    pending: HashMap<u64, Pending>,
+    next_cmd: u64,
+    session_seen: HashMap<SessionId, Instant>,
+    /// Sessions with an expiry proposal in flight (not re-proposed every
+    /// sweep).
+    expiring: HashSet<SessionId>,
+    /// The other replicas' client addresses (catch-up and gossip).
+    peer_clients: Vec<SocketAddr>,
+    gossip: HashMap<SocketAddr, Sender<Bytes>>,
+    session_check: Duration,
+    next_sweep: Instant,
+    /// Boot catch-up found no peer at least as current as us yet.
+    catchup_needed: bool,
+    /// When the learner was first seen blocked on a delivery gap (or
+    /// behind since boot).
+    gap_since: Option<Instant>,
+    /// A watchdog peer fetch is out.
+    catchup_inflight: bool,
+    self_tx: Sender<SrvEvent>,
+}
+
+impl Replica {
+    /// Runs the replica until shutdown. Each step waits for the first
+    /// event or the next ring timer or sweep, handles whatever else is
+    /// queued, fires due timers, sweeps if due, then flushes the step's
+    /// effects and gossips the ring changes it made.
+    fn run(mut self, rx: &Receiver<SrvEvent>, watch: &Receiver<CoordEvent>) {
+        self.node.start(self.clock.now(), &mut self.out);
+        loop {
+            self.flush();
+            for event in watch.try_iter() {
+                if let CoordEvent::RingChanged { cfg } = event {
+                    if cfg.ring == COORD_RING {
+                        self.gossip(&cfg);
+                    }
+                }
+            }
+            let sleep = self
+                .timers
+                .sleep_for(self.session_check)
+                .min(self.next_sweep.saturating_duration_since(Instant::now()));
+            let first = match rx.recv_timeout(sleep) {
+                Ok(event) => Some(event),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return,
+            };
+            for event in first.into_iter().chain(rx.try_iter().take(255)) {
+                if !self.handle(event) {
+                    // Drop what queued behind the shutdown: a client
+                    // writer parked in the queue would keep its socket
+                    // (and the client's reader) alive.
+                    rx.try_iter().for_each(drop);
+                    return;
+                }
+            }
+            while let Some(timer) = self.timers.pop_due(Instant::now()) {
+                self.node.on_timer(timer, self.clock.now(), &mut self.out);
+            }
+            if Instant::now() >= self.next_sweep {
+                self.sweep();
+            }
+        }
+    }
+
+    /// Feeds one event into the replica; false on shutdown.
+    fn handle(&mut self, event: SrvEvent) -> bool {
         match event {
-            None => {}
-            Some(SrvEvent::Shutdown) => break,
-            Some(SrvEvent::Conn(conn, writer)) => {
-                conns.insert(
+            SrvEvent::Shutdown => return false,
+            SrvEvent::Conn(conn, writer) => {
+                self.conns.insert(
                     conn,
                     ConnState {
                         writer,
@@ -840,315 +909,321 @@ fn server_loop(
                     },
                 );
             }
-            Some(SrvEvent::Gone(conn)) => {
-                conns.remove(&conn);
-                pending.retain(|_, p| p.conn != conn);
+            SrvEvent::Gone(conn) => self.drop_conn(conn),
+            SrvEvent::Msg(conn, msg) => self.on_client(conn, msg),
+            SrvEvent::Ring(from, msg) => {
+                self.node.on_msg(from, msg, self.clock.now(), &mut self.out)
             }
-            Some(SrvEvent::Msg(conn, CoordMsg { req, op })) => match op.kind() {
-                OpKind::Local => {
-                    if let CoordOp::InstallConfig { cfg } = &op {
-                        let _ = ring_registry.install_config(cfg.clone());
-                    }
-                    if let Some(c) = conns.get_mut(&conn) {
-                        if matches!(op, CoordOp::WatchAll) {
-                            c.watch_all = true;
-                        }
-                        let _ = c.writer.send(CoordReply::Ok {
-                            req,
-                            body: common::wire::coord::CoordOk::Unit,
-                        });
-                    }
+            SrvEvent::CatchUp(snap) => {
+                self.catchup_inflight = false;
+                if let Some(snap) = snap {
+                    self.on_catch_up(snap);
                 }
-                OpKind::Read => {
-                    if matches!(op, CoordOp::SnapshotRequest) {
-                        // The catch-up RPC: served from applied state
-                        // with *this* replica's log position and its
-                        // view of the ensemble's own ring (the state
-                        // machine itself has neither).
-                        if let Some(c) = conns.get(&conn) {
-                            let _ = c.writer.send(CoordReply::Ok {
-                                req,
-                                body: CoordOk::Snapshot {
-                                    applied: durable.applied.raw(),
-                                    ensemble_ring: ring_registry
-                                        .ring(COORD_RING)
-                                        .ok()
-                                        .map(|c| c.to_wire()),
-                                    state: durable.state.snapshot(),
-                                },
-                            });
-                        }
-                        continue;
-                    }
-                    if matches!(op, CoordOp::Stats) {
-                        // Metrics live in the process, not the replicated
-                        // state machine: answer from the local registry.
-                        if let Some(c) = conns.get(&conn) {
-                            let _ = c.writer.send(CoordReply::Ok {
-                                req,
-                                body: CoordOk::Stats(obs.snapshot()),
-                            });
-                        }
-                        continue;
-                    }
-                    // Reads never mutate state or emit events.
-                    let (result, _) = durable.state.apply(&op);
-                    if let Some(c) = conns.get(&conn) {
-                        let _ = c.writer.send(reply_of(req, result));
-                    }
-                }
-                OpKind::Replicate => {
-                    next_cmd += 1;
-                    let seq = next_cmd;
-                    let cmd = CoordCmd {
-                        origin: me,
-                        seq,
-                        op,
-                    };
-                    pending.insert(
-                        seq,
-                        Pending {
-                            conn,
-                            req,
-                            at: Instant::now(),
-                        },
-                    );
-                    if live.propose(Value::app(me, seq, cmd.to_bytes())).is_err() {
-                        pending.remove(&seq);
-                        if let Some(c) = conns.get(&conn) {
-                            let _ = c.writer.send(CoordReply::Err {
-                                req,
-                                reason: "replica shutting down".into(),
-                            });
-                        }
-                    }
-                }
-            },
-            Some(SrvEvent::Deliver(d)) => {
-                if d.inst < durable.applied {
-                    // A straggler from before a snapshot install: the
-                    // installed state already covers it.
-                    continue;
-                }
-                if d.inst > durable.applied {
-                    // A hole: deliveries were lost between learner and
-                    // loop (bounded-channel overflow under extreme
-                    // load). Never cross it silently — skipped ops would
-                    // diverge this replica and then be *checkpointed*.
-                    // Park until a peer snapshot jumps the cursor.
-                    catchup_needed = true;
-                    continue;
-                }
-                durable.applied = d.inst.plus(d.value.instance_span());
-                coord_applied.inc();
-                since_ckpt += 1;
-                if durable.checkpoint_every > 0 && since_ckpt >= durable.checkpoint_every {
-                    // Periodic checkpoint (after the apply below, see the
-                    // end of this arm): replay after a restart is
-                    // snapshot + WAL suffix, not the whole history.
-                    next_ckpt_due = true;
-                }
-                let value = d.value;
-                let applied_op = value.payload().and_then(|bytes| {
-                    let mut raw = bytes.clone();
-                    CoordCmd::decode(&mut raw).ok() // foreign payloads are cursor-only
-                });
-                let Some(cmd) = applied_op else {
-                    checkpoint_if_due(&mut durable, &live, &mut since_ckpt, &mut next_ckpt_due);
-                    continue; // no-op / skip filler
-                };
-                let (result, events) = durable.state.apply(&cmd.op);
-                checkpoint_if_due(&mut durable, &live, &mut since_ckpt, &mut next_ckpt_due);
-                track_sessions(
-                    &cmd.op,
-                    &result,
-                    &durable.state,
-                    &mut session_seen,
-                    &mut expiring,
-                );
-                if cmd.origin == me {
-                    if let Some(p) = pending.remove(&cmd.seq) {
-                        if let Some(c) = conns.get(&p.conn) {
-                            let _ = c.writer.send(reply_of(p.req, result));
-                        }
-                    }
-                }
-                if !events.is_empty() {
-                    // A watcher whose queue overflows is disconnected on
-                    // the spot: its cache would otherwise miss this event
-                    // and serve stale configuration forever. Reconnecting
-                    // re-arms the watch and clears the client's cache.
-                    let mut stalled = Vec::new();
-                    for (id, c) in conns.iter().filter(|(_, c)| c.watch_all) {
-                        for e in &events {
-                            if !c.writer.send(CoordReply::Event(e.clone())) {
-                                stalled.push(*id);
-                                break;
-                            }
-                        }
-                    }
-                    for id in stalled {
-                        conns.remove(&id);
-                        pending.retain(|_, p| p.conn != id);
-                    }
-                }
-            }
-            Some(SrvEvent::Gossip(cfg)) => {
-                for addr in &peer_clients {
-                    gossip_config(&mut gossip_conns, *addr, &cfg);
-                }
-            }
-            Some(SrvEvent::CatchUp(snap)) => {
-                catchup_inflight = false;
-                let Some(snap) = snap else { continue };
-                let before = durable.applied;
-                let peer_applied = snap.applied;
-                let outcome = install_snapshot(&mut durable, &live, peer_applied, &snap.state);
-                if matches!(outcome, Ok(true)) {
-                    // At least as current as the answering peer: a
-                    // pending boot catch-up is satisfied. (Ok(false) —
-                    // an ahead peer whose snapshot did not decode —
-                    // keeps the sweep retrying.)
-                    catchup_needed = false;
-                }
-                if outcome.is_ok() && durable.applied > before {
-                    // install_snapshot wrote a checkpoint at the new
-                    // cursor; restart the periodic cadence from it.
-                    since_ckpt = 0;
-                    next_ckpt_due = false;
-                    for (id, _) in durable.state.sessions() {
-                        session_seen.entry(id).or_insert_with(Instant::now);
-                    }
-                    // The install jumped state without per-op events, so
-                    // connected watchers' caches are silently behind.
-                    // Disconnect them: reconnecting re-arms the watch and
-                    // clears the client cache (the same contract the
-                    // overflow path relies on).
-                    let watching: Vec<u64> = conns
-                        .iter()
-                        .filter(|(_, c)| c.watch_all)
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in watching {
-                        conns.remove(&id);
-                        pending.retain(|_, p| p.conn != id);
-                    }
-                    // Proposals whose decisions the jump skipped will
-                    // never be answered by the Deliver arm (stragglers
-                    // below the cursor are dropped). Fail the waiting
-                    // clients now instead of letting them ride out the
-                    // 10 s stale sweep — every registry mutation is
-                    // idempotent or epoch/version-guarded, so a retry
-                    // against the caught-up state is safe.
-                    for (_, p) in pending.drain() {
-                        if let Some(c) = conns.get(&p.conn) {
-                            let _ = c.writer.send(CoordReply::Err {
-                                req: p.req,
-                                reason: "state jumped by snapshot catch-up; retry".into(),
-                            });
-                        }
-                    }
-                    // In-flight expiry markers are stale the same way: a
-                    // session whose CAS loss only the snapshot reflects
-                    // would otherwise stay marked forever and never be
-                    // re-proposed for expiry (an immortal session). The
-                    // sweep re-proposes under the CAS guard, so clearing
-                    // is always safe.
-                    expiring.clear();
-                }
-                // A long partition can also have cost us our ring
-                // membership; heal that the same way a restart does.
-                rejoin_ensemble_ring(&ring_registry, me, snap.ensemble_ring);
             }
         }
+        true
+    }
 
-        if Instant::now() >= next_sweep {
-            next_sweep = Instant::now() + session_check;
-            let now = Instant::now();
-            session_count.set(durable.state.sessions().count() as i64);
-            // Gap watchdog: a learner blocked on decisions it fully
-            // missed (they circulated while this replica was down or
-            // partitioned) will never heal from the ring alone — old
-            // decisions are not re-sent. A persistent gap is resolved
-            // the same way boot catch-up is: install a live peer's
-            // snapshot and jump the cursor past the hole. The fetch runs
-            // on its own thread (connects + reply wait can block for
-            // seconds; stalling this loop would make the replica appear
-            // dead to its clients exactly while it tries to heal) and
-            // comes back as [`SrvEvent::CatchUp`]. An unanswered *boot*
-            // catch-up also retries here: on an idle ensemble no new
-            // decision would ever surface a buffered gap, yet the
-            // replica may still be behind.
-            if live.first_buffered().is_some() || catchup_needed {
-                let since = *gap_since.get_or_insert(now);
-                if !catchup_inflight
-                    && now.duration_since(since) >= session_check.max(Duration::from_millis(500))
-                {
-                    gap_since = Some(now);
-                    let peers = peer_clients.clone();
-                    let tx = self_tx.clone();
-                    // Armed only if the thread actually started: a
-                    // failed spawn sends no CatchUp, and a stuck
-                    // `catchup_inflight` would disarm healing forever.
-                    catchup_inflight = std::thread::Builder::new()
-                        .name(format!("amcoord-catchup-{}", me.raw()))
-                        .spawn(move || {
-                            let snap = fetch_peer_snapshot(&peers, Duration::from_secs(2));
-                            let _ = tx.send(SrvEvent::CatchUp(snap));
-                        })
-                        .is_ok();
+    fn drop_conn(&mut self, conn: u64) {
+        self.conns.remove(&conn);
+        self.pending.retain(|_, p| p.conn != conn);
+    }
+
+    fn reply(&self, conn: u64, reply: CoordReply) {
+        if let Some(c) = self.conns.get(&conn) {
+            let _ = c.writer.send(reply);
+        }
+    }
+
+    fn on_client(&mut self, conn: u64, CoordMsg { req, op }: CoordMsg) {
+        match op.kind() {
+            OpKind::Local => {
+                if let CoordOp::InstallConfig { cfg } = &op {
+                    let _ = self.ring_registry.install_config(cfg.clone());
                 }
-            } else {
-                gap_since = None;
+                if let Some(c) = self.conns.get_mut(&conn) {
+                    if matches!(op, CoordOp::WatchAll) {
+                        c.watch_all = true;
+                    }
+                    let _ = c.writer.send(CoordReply::Ok {
+                        req,
+                        body: CoordOk::Unit,
+                    });
+                }
             }
-            let overdue: Vec<(SessionId, u64)> = durable
+            // The catch-up RPC: served from applied state with *this*
+            // replica's log position and its view of the ensemble's own
+            // ring (the state machine itself has neither).
+            OpKind::Read if matches!(op, CoordOp::SnapshotRequest) => {
+                let body = CoordOk::Snapshot {
+                    applied: self.durable.applied.raw(),
+                    ensemble_ring: self
+                        .ring_registry
+                        .ring(COORD_RING)
+                        .ok()
+                        .map(|c| c.to_wire()),
+                    state: self.durable.state.snapshot(),
+                };
+                self.reply(conn, CoordReply::Ok { req, body });
+            }
+            // Metrics live in the process, not the replicated state
+            // machine: answer from the local registry.
+            OpKind::Read if matches!(op, CoordOp::Stats) => {
+                let body = CoordOk::Stats(self.obs.snapshot());
+                self.reply(conn, CoordReply::Ok { req, body });
+            }
+            OpKind::Read => {
+                // Reads never mutate state or emit events.
+                let (result, _) = self.durable.state.apply(&op);
+                self.reply(conn, reply_of(req, result));
+            }
+            OpKind::Replicate => {
+                let seq = self.propose(op);
+                let at = Instant::now();
+                self.pending.insert(seq, Pending { conn, req, at });
+            }
+        }
+    }
+
+    /// Proposes `op` to the ring under a fresh command sequence number.
+    fn propose(&mut self, op: CoordOp) -> u64 {
+        self.next_cmd += 1;
+        let seq = self.next_cmd;
+        let cmd = CoordCmd {
+            origin: self.me,
+            seq,
+            op,
+        };
+        let value = Value::app(self.me, seq, cmd.to_bytes());
+        self.node.propose(value, self.clock.now(), &mut self.out);
+        seq
+    }
+
+    /// Drains the step's ring effects: sends leave, timers arm, and every
+    /// decided value is group-committed once before any is applied or
+    /// answered.
+    fn flush(&mut self) {
+        for (to, msg) in self.out.sends.drain(..) {
+            self.transport.send(to, Msg::Ring(COORD_RING, msg));
+        }
+        for (after, timer) in self.out.timers.drain(..) {
+            self.timers.push_after(after, timer);
+        }
+        if self.out.decided.is_empty() {
+            return;
+        }
+        let decided = std::mem::take(&mut self.out.decided);
+        self.durable.commit(&decided);
+        for (inst, value) in &decided {
+            self.deliver(*inst, value);
+        }
+    }
+
+    /// Applies one decided value, answers its proposer's client and fans
+    /// its watch events out.
+    fn deliver(&mut self, inst: InstanceId, value: &Value) {
+        let durable = &mut self.durable;
+        let applied = apply_log_entry(&mut durable.state, &mut durable.applied, inst, value);
+        // The learner delivers from the state's own cursor (set at boot
+        // and by every snapshot install), in order.
+        debug_assert!(
+            applied.is_ok(),
+            "decision {inst} off the applied cursor {}",
+            durable.applied
+        );
+        let Ok(cmd) = applied else { return };
+        self.coord_applied.inc();
+        self.durable.note_applied();
+        let Some((cmd, result, events)) = cmd else {
+            return; // no-op / skip filler
+        };
+        track_sessions(
+            &cmd.op,
+            &result,
+            &self.durable.state,
+            &mut self.session_seen,
+            &mut self.expiring,
+        );
+        if cmd.origin == self.me {
+            if let Some(p) = self.pending.remove(&cmd.seq) {
+                self.reply(p.conn, reply_of(p.req, result));
+            }
+        }
+        if !events.is_empty() {
+            // A watcher whose queue overflows is disconnected on the
+            // spot: its cache would otherwise miss this event and serve
+            // stale configuration forever. Reconnecting re-arms the watch
+            // and clears the client's cache.
+            let mut stalled = Vec::new();
+            for (id, c) in self.conns.iter().filter(|(_, c)| c.watch_all) {
+                for e in &events {
+                    if !c.writer.send(CoordReply::Event(e.clone())) {
+                        stalled.push(*id);
+                        break;
+                    }
+                }
+            }
+            for id in stalled {
+                self.drop_conn(id);
+            }
+        }
+    }
+
+    /// Installs a watchdog fetch's snapshot if it is ahead, and heals a
+    /// lost ring membership the same way a restart does.
+    fn on_catch_up(&mut self, snap: PeerSnapshot) {
+        // Apply what this step decided first, so the learner sits at the
+        // applied cursor and the install only ever moves it forward.
+        self.flush();
+        let before = self.durable.applied;
+        if matches!(
+            self.durable.install_snapshot(snap.applied, &snap.state),
+            Ok(true)
+        ) {
+            // At least as current as the answering peer: a pending boot
+            // catch-up is satisfied. (Ok(false) — an ahead peer whose
+            // snapshot did not decode — keeps the sweep retrying.)
+            self.catchup_needed = false;
+        }
+        if self.durable.applied > before {
+            self.node.set_next_delivery(self.durable.applied);
+            for (id, _) in self.durable.state.sessions() {
+                self.session_seen.entry(id).or_insert_with(Instant::now);
+            }
+            // The install jumped state without per-op events, so
+            // connected watchers' caches are silently behind. Disconnect
+            // them: reconnecting re-arms the watch and clears the client
+            // cache (the same contract the overflow path relies on).
+            let watching: Vec<u64> = self
+                .conns
+                .iter()
+                .filter(|(_, c)| c.watch_all)
+                .map(|(id, _)| *id)
+                .collect();
+            for id in watching {
+                self.drop_conn(id);
+            }
+            // Proposals whose decisions the jump skipped will never be
+            // answered. Fail the waiting clients now instead of letting
+            // them ride out the 10 s stale sweep — every registry
+            // mutation is idempotent or epoch/version-guarded, so a retry
+            // against the caught-up state is safe.
+            for (_, p) in std::mem::take(&mut self.pending) {
+                self.reply(
+                    p.conn,
+                    CoordReply::Err {
+                        req: p.req,
+                        reason: "state jumped by snapshot catch-up; retry".into(),
+                    },
+                );
+            }
+            // In-flight expiry markers are stale the same way: a session
+            // whose CAS loss only the snapshot reflects would otherwise
+            // stay marked forever and never be re-proposed for expiry (an
+            // immortal session). The sweep re-proposes under the CAS
+            // guard, so clearing is always safe.
+            self.expiring.clear();
+        }
+        // A long partition can also have cost us our ring membership.
+        rejoin_ensemble_ring(&self.ring_registry, self.me, snap.ensemble_ring);
+    }
+
+    /// Queues an [`CoordOp::InstallConfig`] of `cfg` on every peer's
+    /// gossip link.
+    fn gossip(&mut self, cfg: &RingConfigWire) {
+        let frame = encode_frame(&CoordMsg {
+            req: 0,
+            op: CoordOp::InstallConfig { cfg: cfg.clone() },
+        });
+        for addr in &self.peer_clients {
+            let me = self.me;
+            let link = self
+                .gossip
+                .entry(*addr)
+                .or_insert_with(|| gossip_link(me, *addr));
+            let _ = link.try_send(frame.clone());
+        }
+    }
+
+    /// The periodic sweep: gap watchdog, session expiry, stale requests.
+    fn sweep(&mut self) {
+        let now = Instant::now();
+        self.next_sweep = now + self.session_check;
+        self.session_count
+            .set(self.durable.state.sessions().count() as i64);
+        // Gap watchdog: a learner blocked on decisions it fully missed
+        // (they circulated while this replica was down or partitioned)
+        // will never heal from the ring alone — old decisions are not
+        // re-sent. A persistent gap is resolved the same way boot
+        // catch-up is: install a live peer's snapshot and jump the cursor
+        // past the hole. The fetch runs on its own thread (connects +
+        // reply wait can block for seconds; stalling this loop would stop
+        // the ring member's heartbeats exactly while it tries to heal)
+        // and comes back as [`SrvEvent::CatchUp`]. An unanswered *boot*
+        // catch-up also retries here: on an idle ensemble no new decision
+        // would ever surface a buffered gap, yet the replica may still be
+        // behind.
+        if self.node.buffered_gap().is_some() || self.catchup_needed {
+            let since = *self.gap_since.get_or_insert(now);
+            if !self.catchup_inflight
+                && now.duration_since(since) >= self.session_check.max(Duration::from_millis(500))
+            {
+                self.gap_since = Some(now);
+                let peers = self.peer_clients.clone();
+                let tx = self.self_tx.clone();
+                // Armed only if the thread actually started: a failed
+                // spawn sends no CatchUp, and a stuck `catchup_inflight`
+                // would disarm healing forever.
+                self.catchup_inflight = std::thread::Builder::new()
+                    .name(format!("amcoord-catchup-{}", self.me.raw()))
+                    .spawn(move || {
+                        let snap = fetch_peer_snapshot(&peers, Duration::from_secs(2));
+                        let _ = tx.send(SrvEvent::CatchUp(snap));
+                    })
+                    .is_ok();
+            }
+        } else {
+            self.gap_since = None;
+        }
+        let overdue: Vec<(SessionId, u64)> =
+            self.durable
                 .state
                 .sessions()
                 .filter(|(id, s)| {
-                    !expiring.contains(id)
-                        && session_seen.get(id).is_none_or(|at| {
+                    !self.expiring.contains(id)
+                        && self.session_seen.get(id).is_none_or(|at| {
                             now.duration_since(*at) > Duration::from_millis(s.ttl_ms)
                         })
                 })
                 .map(|(id, s)| (id, s.refresh_seq))
                 .collect();
-            for (session, seen_refresh) in overdue {
-                next_cmd += 1;
-                let cmd = CoordCmd {
-                    origin: me,
-                    seq: next_cmd,
-                    op: CoordOp::ExpireSession {
-                        session,
-                        seen_refresh,
+        for (session, seen_refresh) in overdue {
+            self.propose(CoordOp::ExpireSession {
+                session,
+                seen_refresh,
+            });
+            self.expiring.insert(session);
+        }
+        // Stale pendings (e.g. the ring lost quorum): fail the client so
+        // it can retry another replica rather than hang.
+        let stale: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.at.elapsed() > Duration::from_secs(10))
+            .map(|(seq, _)| *seq)
+            .collect();
+        for seq in stale {
+            if let Some(p) = self.pending.remove(&seq) {
+                self.reply(
+                    p.conn,
+                    CoordReply::Err {
+                        req: p.req,
+                        reason: "command not decided in time".into(),
                     },
-                };
-                if live
-                    .propose(Value::app(me, next_cmd, cmd.to_bytes()))
-                    .is_ok()
-                {
-                    expiring.insert(session);
-                }
-            }
-            // Stale pendings (e.g. the ring lost quorum): fail the client
-            // so it can retry another replica rather than hang.
-            let stale: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.at.elapsed() > Duration::from_secs(10))
-                .map(|(seq, _)| *seq)
-                .collect();
-            for seq in stale {
-                if let Some(p) = pending.remove(&seq) {
-                    if let Some(c) = conns.get(&p.conn) {
-                        let _ = c.writer.send(CoordReply::Err {
-                            req: p.req,
-                            reason: "command not decided in time".into(),
-                        });
-                    }
-                }
+                );
             }
         }
     }
-    live.stop();
 }
 
 fn reply_of(req: u64, result: coord::state::ApplyResult) -> CoordReply {
@@ -1339,37 +1414,5 @@ impl CoordEnsemble {
         for h in self.replicas.into_iter().flatten() {
             h.shutdown();
         }
-    }
-}
-
-/// Sends an [`CoordOp::InstallConfig`] to a peer replica over a lazily
-/// maintained connection (fire-and-forget; the next gossip retries).
-fn gossip_config(
-    conns: &mut HashMap<SocketAddr, TcpStream>,
-    addr: SocketAddr,
-    cfg: &common::wire::coord::RingConfigWire,
-) {
-    let frame = encode_frame(&CoordMsg {
-        req: 0,
-        op: CoordOp::InstallConfig { cfg: cfg.clone() },
-    });
-    for _attempt in 0..2 {
-        if let std::collections::hash_map::Entry::Vacant(e) = conns.entry(addr) {
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    e.insert(s);
-                }
-                Err(_) => return,
-            }
-        }
-        let ok = conns
-            .get_mut(&addr)
-            .map(|s| s.write_all(&frame).is_ok())
-            .unwrap_or(false);
-        if ok {
-            return;
-        }
-        conns.remove(&addr);
     }
 }

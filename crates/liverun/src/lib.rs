@@ -28,6 +28,9 @@
 //!   describes the whole cluster.
 //! * [`node`] — the per-node event loop driving a [`multiring::MultiRingHost`]
 //!   through [`simnet::Ctx::external`], plus listeners and readers.
+//! * [`coordsvc`] — the `amcoordd` replica: one loop thread owning the
+//!   coordination service's ring member, decided log and state, on the
+//!   node runtime's peer transport.
 //! * [`batch`] — proposer-side request batching: many client commands
 //!   share one consensus value ([`common::value::Payload::Batch`]).
 //! * [`deployment`] — launch/kill/restart whole localhost deployments

@@ -215,7 +215,7 @@ fn write_all_vectored(stream: &mut TcpStream, frames: &[Bytes]) -> std::io::Resu
 /// when the queue is full (peer down, backlog grown) messages are
 /// dropped — the protocol's TTL'd circulation, retries and failure
 /// detection absorb the loss.
-struct PeerTransport {
+pub(crate) struct PeerTransport {
     me: NodeId,
     addrs: HashMap<NodeId, SocketAddr>,
     links: HashMap<NodeId, Sender<Msg>>,
@@ -232,7 +232,21 @@ struct PeerTransport {
 }
 
 impl PeerTransport {
-    fn send(&mut self, to: NodeId, msg: Msg) {
+    /// A transport from `me` to the peers at `addrs`, accounting its
+    /// traffic in `obs`. Links are dialled lazily on first send.
+    pub(crate) fn new(me: NodeId, addrs: HashMap<NodeId, SocketAddr>, obs: &Obs) -> Self {
+        PeerTransport {
+            me,
+            addrs,
+            links: HashMap::new(),
+            wire: WireCounters::new(obs),
+            wire_by_ring: HashMap::new(),
+            obs: obs.clone(),
+            vectored: obs.counter("writer_vectored_frames"),
+        }
+    }
+
+    pub(crate) fn send(&mut self, to: NodeId, msg: Msg) {
         let Some(addr) = self.addrs.get(&to).copied() else {
             return;
         };
@@ -380,8 +394,12 @@ pub(crate) fn spawn_listener(
     }
 }
 
-/// Reads [`PeerFrame`]s off one accepted peer connection.
-fn spawn_peer_reader(mut stream: TcpStream, tx: Sender<Event>) {
+/// Reads [`PeerFrame`]s off one accepted peer connection into `sink`,
+/// until the socket closes or `sink` returns false (its loop is gone).
+pub(crate) fn spawn_peer_reader(
+    mut stream: TcpStream,
+    mut sink: impl FnMut(NodeId, Msg) -> bool + Send + 'static,
+) {
     std::thread::spawn(move || {
         let mut buf = FrameBuf::new();
         let mut chunk = [0u8; 64 * 1024];
@@ -393,7 +411,7 @@ fn spawn_peer_reader(mut stream: TcpStream, tx: Sender<Event>) {
                     loop {
                         match buf.try_next::<PeerFrame>() {
                             Ok(Some(f)) => {
-                                if tx.send(Event::Peer(f.from, f.msg)).is_err() {
+                                if !sink(f.from, f.msg) {
                                     return;
                                 }
                             }
@@ -680,7 +698,12 @@ pub(crate) fn spawn_node(
     let peer_listener = spawn_listener(
         peer_listener,
         format!("amcast-peers-{}", setup.me.raw()),
-        move |stream| spawn_peer_reader(stream, tx_peers.clone()),
+        move |stream| {
+            let tx = tx_peers.clone();
+            spawn_peer_reader(stream, move |from, msg| {
+                tx.send(Event::Peer(from, msg)).is_ok()
+            })
+        },
     );
 
     let client_listener = TcpListener::bind(setup.client_addr)?;
@@ -772,15 +795,7 @@ fn node_loop(
         app,
         setup.host_opts,
     );
-    let mut transport = PeerTransport {
-        me,
-        addrs: setup.peer_addrs,
-        links: HashMap::new(),
-        wire: WireCounters::new(&obs),
-        wire_by_ring: HashMap::new(),
-        obs: obs.clone(),
-        vectored: obs.counter("writer_vectored_frames"),
-    };
+    let mut transport = PeerTransport::new(me, setup.peer_addrs, &obs);
     let stage_seal = obs.hist("stage_seal_nanos");
     let batcher_depth = obs.gauge("batcher_depth");
     let reply_queue_depth = obs.gauge("reply_queue_depth");

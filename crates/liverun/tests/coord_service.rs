@@ -478,3 +478,73 @@ fn first_seg_pos(segs: &[std::path::PathBuf]) -> u64 {
         .and_then(|n| n.strip_prefix("seg-")?.strip_suffix(".wal")?.parse().ok())
         .unwrap_or(0)
 }
+
+/// The ensemble's replicated log is one sequence: every replica's WAL
+/// holds the same dense run of decided instances from 0, naming the same
+/// values in the same order. With checkpoints off nothing is pruned, so
+/// each log is the replica's whole delivered history.
+#[test]
+fn replicas_log_one_identical_sequence() {
+    use common::msg::AcceptedEntry;
+    use liverun::coordsvc::wal_seg_dir;
+    use storage::wal::SegmentedWal;
+
+    let dir = std::env::temp_dir().join(format!("amcoord-seq-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let configs: Vec<CoordServerConfig> = (0..3)
+        .map(|id| {
+            let mut c = CoordServerConfig::localhost(id, 3, base_port(6));
+            c.wal_dir = Some(dir.clone());
+            c.checkpoint_every = 0;
+            c
+        })
+        .collect();
+    let ensemble = CoordEnsemble::launch(configs).expect("ensemble launches");
+    // A session TTL far beyond the test: no keep-alive or expiry joins
+    // the log after the last write.
+    let opts = CoordClientOptions {
+        session_ttl: Duration::from_secs(300),
+        ..CoordClientOptions::default()
+    };
+    let client = Registry::connect(&ensemble.client_addrs()[..1], opts).unwrap();
+    const WRITES: usize = 60;
+    for i in 0..WRITES {
+        client
+            .set_meta_cas(format!("seq-{i}"), Bytes::from_static(b"x"), 0)
+            .unwrap();
+    }
+    drop(client);
+
+    let replay = |id: u32| -> Vec<AcceptedEntry> {
+        SegmentedWal::replay::<AcceptedEntry>(wal_seg_dir(&dir, NodeId::new(id)))
+            .unwrap()
+            .into_iter()
+            .map(|(_, rec)| rec)
+            .collect()
+    };
+    // The writes completed on replica 0; the others log them as the
+    // decisions reach them.
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            let lens: Vec<usize> = (0..3).map(|id| replay(id).len()).collect();
+            lens[0] > WRITES && lens.iter().all(|l| *l == lens[0])
+        }),
+        "every replica must log every decision"
+    );
+    ensemble.shutdown();
+
+    let logs: Vec<Vec<AcceptedEntry>> = (0..3).map(replay).collect();
+    for (id, log) in logs.iter().enumerate() {
+        let mut next = 0;
+        for rec in log {
+            assert_eq!(rec.inst.raw(), next, "replica {id}'s log is not dense");
+            next = rec.inst.plus(rec.value.instance_span()).raw();
+        }
+    }
+    let ids =
+        |log: &[AcceptedEntry]| -> Vec<_> { log.iter().map(|r| (r.inst, r.value.id)).collect() };
+    assert_eq!(ids(&logs[0]), ids(&logs[1]), "replicas 0 and 1 diverged");
+    assert_eq!(ids(&logs[1]), ids(&logs[2]), "replicas 1 and 2 diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -12,7 +12,6 @@ use atomic_multicast::dlog::{DlogApp, LogCommand};
 use atomic_multicast::mrpstore::{KvApp, KvCommand, Partitioning};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
 use atomic_multicast::multiring::{HostOptions, MultiRingHost};
-use atomic_multicast::ringpaxos::live::LiveRing;
 use atomic_multicast::ringpaxos::options::{RateLeveling, RingOptions};
 use atomic_multicast::simnet::{CpuModel, Region, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
@@ -220,28 +219,6 @@ fn dlog_multi_append_is_atomic() {
 
     sim.run_until(SimTime::from_secs(3));
     assert!(stats.borrow().completed > 100);
-}
-
-/// The same protocol code runs over real sockets.
-#[test]
-fn live_tcp_ring_small_smoke() {
-    let base = 43100 + (std::process::id() % 500) as u16;
-    let addrs: Vec<std::net::SocketAddr> = (0..3)
-        .map(|i| format!("127.0.0.1:{}", base + i).parse().unwrap())
-        .collect();
-    let ring = LiveRing::tcp(&addrs, RingOptions::crash_free(), None).unwrap();
-    for seq in 0..3u64 {
-        ring.node(0)
-            .propose(atomic_multicast::common::value::Value::app(
-                NodeId::new(0),
-                seq,
-                Bytes::from_static(b"smoke"),
-            ))
-            .unwrap();
-    }
-    let d = ring.node(2).recv_delivery(Duration::from_secs(10)).unwrap();
-    assert_eq!(d.inst.raw(), 0);
-    ring.shutdown();
 }
 
 /// The live deployment runtime end-to-end: a 2-partition MRP-Store (one
