@@ -19,6 +19,7 @@ use common::transport::WallClock;
 use coord::{CoordClientOptions, Registry};
 use multiring::{HostOptions, ServiceApp, SessionLimits};
 use storage::wal::{SegmentedWal, SyncPolicy};
+use storage::CheckpointStore;
 
 use crate::batch::BatchOptions;
 use crate::config::{DeploymentConfig, ServiceKind};
@@ -26,8 +27,8 @@ use crate::durable::DurableApp;
 use crate::netem::{Netem, NetemControl};
 use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
-/// The segment directory holding `node`'s delivered-command WAL:
-/// `<wal_dir>/node-<id>/`.
+/// The segment directory holding `node`'s delivered-command WAL and its
+/// checkpoint files: `<wal_dir>/node-<id>/`.
 pub fn node_wal_dir(wal_dir: &Path, node: NodeId) -> PathBuf {
     wal_dir.join(format!("node-{}", node.raw()))
 }
@@ -91,7 +92,9 @@ fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<Box
 /// Host tuning for live deployments: failure detection on (a dead ring
 /// member must be cut out for circulation to resume), rate leveling on
 /// (the deterministic merge needs idle rings to emit skips, §4),
-/// checkpoints per the config, recovery retries snappy enough for tests.
+/// checkpoints per the config with the §5.2 trim protocol at the same
+/// cadence (acceptors drop what a quorum of checkpoints covers),
+/// recovery retries snappy enough for tests.
 fn host_options(config: &DeploymentConfig) -> HostOptions {
     use std::time::Duration;
     let mut opts = HostOptions {
@@ -109,6 +112,7 @@ fn host_options(config: &DeploymentConfig) -> HostOptions {
             ..ringpaxos::options::RingOptions::default()
         },
         checkpoint_interval: config.checkpoint_interval,
+        trim_interval: config.checkpoint_interval,
         recovery_retry: Duration::from_millis(100),
         ..HostOptions::default()
     };
@@ -233,6 +237,13 @@ fn start_node_shaped(
     }
     let mut host_opts = host_options(config);
     host_opts.ring.obs = obs.clone();
+    // The WAL opens first: it takes the directory's writer lock before
+    // the checkpoint store reads the files a previous incarnation left.
+    let app = build_stack(config, node, &obs)?;
+    let ckpt_store = match &config.wal_dir {
+        Some(dir) => CheckpointStore::open_dir(node_wal_dir(dir, node))?,
+        None => CheckpointStore::new(host_opts.checkpoint_storage),
+    };
     let setup = NodeSetup {
         me: node,
         member_of,
@@ -249,9 +260,9 @@ fn start_node_shaped(
         client_window: config.client_window,
         credit_min_window: config.credit_min_window,
         credit_backlog_high: config.credit_backlog_high,
+        ckpt_store,
         obs,
     };
-    let app = build_stack(config, node, &setup.obs)?;
     spawn_node(setup, app, restart)
 }
 

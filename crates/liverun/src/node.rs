@@ -41,6 +41,7 @@ use coord::Registry;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
+use storage::CheckpointStore;
 
 use crate::batch::{BatchOptions, Batcher};
 
@@ -568,6 +569,9 @@ pub(crate) struct NodeSetup {
     /// Proposal backlog (batcher + event queue, in envelopes) above which
     /// credit halves; `0` derives a default from the batch size.
     pub credit_backlog_high: u32,
+    /// The replica's checkpoint store: file-backed under the node's WAL
+    /// directory when the deployment has one, in memory otherwise.
+    pub ckpt_store: CheckpointStore,
     /// This node's metrics registry. The same registry rides
     /// `host_opts.ring.obs` into the host and rings, so every layer of
     /// this node reports into one place.
@@ -794,7 +798,8 @@ fn node_loop(
         setup.partition,
         app,
         setup.host_opts,
-    );
+    )
+    .with_checkpoint_store(setup.ckpt_store);
     let mut transport = PeerTransport::new(me, setup.peer_addrs, &obs);
     let stage_seal = obs.hist("stage_seal_nanos");
     let batcher_depth = obs.gauge("batcher_depth");

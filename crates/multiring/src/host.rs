@@ -24,7 +24,7 @@ use ringpaxos::node::{Output, RingNode};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
 use simnet::{Ctx, Process, Timer};
-use storage::{CheckpointStore, StorageMode};
+use storage::{CheckpointStore, CheckpointWriter, StorageMode};
 
 use crate::app::{ServiceApp, SnapshotCut};
 use crate::merge::MergeLearner;
@@ -183,6 +183,8 @@ struct HostObs {
     merge_lag: Gauge,
     ckpt_bytes: Gauge,
     ckpt_window_us: Gauge,
+    ckpt_file_bytes: Gauge,
+    ckpt_fetches_sent: Counter,
     stage_propose: Hist,
     stage_p2send: Hist,
     stage_decide: Hist,
@@ -204,6 +206,8 @@ impl HostObs {
             merge_lag: obs.gauge("merge_lag"),
             ckpt_bytes: obs.gauge("ckpt_bytes"),
             ckpt_window_us: obs.gauge("ckpt_window_us"),
+            ckpt_file_bytes: obs.gauge("ckpt_file_bytes"),
+            ckpt_fetches_sent: obs.counter("ckpt_fetches_sent"),
             stage_propose: obs.hist("stage_propose_nanos"),
             stage_p2send: obs.hist("stage_p2send_nanos"),
             stage_decide: obs.hist("stage_decide_nanos"),
@@ -241,10 +245,10 @@ fn note_ring_send(hobs: &HostObs, tracing: bool, msg: &RingMsg) {
 /// the merge), but serialization proceeds in [`CKPT_CHUNK_BYTES`]
 /// chunks across [`TIMER_CHECKPOINT_STEP`] events, letting deliveries
 /// interleave with a multi-megabyte snapshot instead of stalling behind
-/// one monolithic encode.
+/// one monolithic encode. Each chunk goes to the checkpoint store's sink
+/// through `writer` (a file sink hands it to its writer thread).
 struct ActiveCkpt {
-    tuple: CheckpointTuple,
-    buf: BytesMut,
+    writer: CheckpointWriter,
     cut: Box<dyn SnapshotCut>,
     /// When the cut was taken; final-chunk minus this is the window
     /// that feeds the [`CKPT_DUTY_FACTOR`] duty-cycle bound.
@@ -274,7 +278,8 @@ pub struct MultiRingHost {
     /// across [`TIMER_CHECKPOINT_STEP`] events.
     active_ckpt: Option<ActiveCkpt>,
     ckpt_seq: u64,
-    /// Presize hint for the next checkpoint buffer (last blob + 12.5%).
+    /// Presize hint for the next in-memory checkpoint buffer (last blob
+    /// + 12.5%).
     ckpt_capacity: usize,
     /// Measured wall window of the last checkpoint (cut to final
     /// chunk). Bounds the checkpoint duty cycle: the next checkpoint is
@@ -300,6 +305,9 @@ pub struct MultiRingHost {
     /// Lazily created per-ring merge telemetry (the subscription set can
     /// change at runtime).
     ring_stats: BTreeMap<RingId, RingMergeStats>,
+    /// Per-ring acceptor-log gauges: `ring<r>_acceptor_log_entries` and
+    /// `ring<r>_acceptor_trim_floor`, what the trim protocol bounds.
+    acceptor_stats: BTreeMap<RingId, (Gauge, Gauge)>,
     /// Last (ring, needed-instance) position the starvation nudge fired
     /// at — one nudge per blocked position, or a slow skip round-trip
     /// would trigger a nudge storm from every pump.
@@ -374,6 +382,18 @@ impl MultiRingHost {
         };
         let ckpt_store = CheckpointStore::new(opts.checkpoint_storage);
         let hobs = HostObs::new(&opts.ring.obs);
+        let acceptor_stats = rings
+            .keys()
+            .map(|r| {
+                let obs = &opts.ring.obs;
+                let n = r.raw();
+                let gauges = (
+                    obs.gauge(&format!("ring{n}_acceptor_log_entries")),
+                    obs.gauge(&format!("ring{n}_acceptor_trim_floor")),
+                );
+                (*r, gauges)
+            })
+            .collect();
         MultiRingHost {
             me,
             registry,
@@ -400,8 +420,22 @@ impl MultiRingHost {
             out: Output::new(),
             hobs,
             ring_stats: BTreeMap::new(),
+            acceptor_stats,
             merge_nudge_mark: None,
         }
+    }
+
+    /// Replaces the host's checkpoint store — a live node with a WAL
+    /// directory passes a file-backed one
+    /// ([`CheckpointStore::open_dir`]), whose newest file a restart
+    /// installs. The default store is in memory, per
+    /// [`HostOptions::checkpoint_storage`].
+    pub fn with_checkpoint_store(mut self, store: CheckpointStore) -> Self {
+        self.ckpt_store = store;
+        self.hobs
+            .ckpt_file_bytes
+            .set(self.ckpt_store.file_bytes() as i64);
+        self
     }
 
     /// Commands executed by this replica (diagnostics).
@@ -682,12 +716,17 @@ impl MultiRingHost {
         // previous checkpoint so a large store does not churn through
         // doubling reallocations on the delivery thread.
         let t0 = std::time::Instant::now();
-        let mut buf = BytesMut::with_capacity(self.ckpt_capacity.max(1024));
-        encode_snapshot_meta(&mut buf, &dedup, merge_turn, &merge_credits);
+        let mut writer = match self.ckpt_store.begin(tuple, self.ckpt_capacity.max(1024)) {
+            Ok(writer) => writer,
+            Err(e) => {
+                self.dbg(ctx, &format!("checkpoint not started: {e}"));
+                return;
+            }
+        };
+        encode_snapshot_meta(writer.buf(), &dedup, merge_turn, &merge_credits);
         let cut = self.app.snapshot_cut();
         self.active_ckpt = Some(ActiveCkpt {
-            tuple,
-            buf,
+            writer,
             cut,
             started: t0,
         });
@@ -698,8 +737,8 @@ impl MultiRingHost {
     }
 
     /// Serializes one [`CKPT_CHUNK_BYTES`] chunk of the active
-    /// checkpoint cut; reschedules itself until the cut is drained, then
-    /// hands the finished blob to the checkpoint store.
+    /// checkpoint cut into the store's sink; reschedules itself until the
+    /// cut is drained, then finishes the checkpoint in the store.
     fn step_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
         let Some(mut active) = self.active_ckpt.take() else {
             return;
@@ -707,32 +746,57 @@ impl MultiRingHost {
         if self.recovery.is_recovering() {
             return; // recovery reset the merge; abandon the stale cut
         }
-        let more = active.cut.write_chunk(&mut active.buf, CKPT_CHUNK_BYTES);
+        let more = active
+            .cut
+            .write_chunk(active.writer.buf(), CKPT_CHUNK_BYTES);
+        if let Err(e) = active.writer.flush() {
+            self.dbg(ctx, &format!("checkpoint write failed: {e}"));
+            return; // dropping the writer abandons the checkpoint
+        }
         if more {
             self.active_ckpt = Some(active);
             ctx.schedule(CKPT_STEP_DELAY, Timer::of_kind(TIMER_CHECKPOINT_STEP));
             return;
         }
-        let state = active.buf.freeze();
+        let bytes = active.writer.bytes() as usize;
         // Real wall from cut to final chunk, deliberately: contention
         // (other replicas' windows, client load) inflating the window is
         // exactly the signal to back off and de-align.
         self.ckpt_cost = active.started.elapsed();
-        self.hobs.ckpt_bytes.set(state.len() as i64);
+        self.hobs.ckpt_bytes.set(bytes as i64);
         self.hobs
             .ckpt_window_us
             .set(self.ckpt_cost.as_micros() as i64);
-        self.ckpt_capacity = state.len() + state.len() / 8;
+        self.ckpt_capacity = bytes + bytes / 8;
+        let tuple = active.writer.tuple().clone();
         let now = ctx.now();
-        let receipt = self.ckpt_store.save(active.tuple.clone(), state, now);
+        let receipt = match self.ckpt_store.finish(active.writer, now) {
+            Ok(receipt) => receipt,
+            Err(e) => {
+                self.dbg(ctx, &format!("checkpoint write failed: {e}"));
+                return;
+            }
+        };
         self.ckpt_seq += 1;
-        self.pending_ckpt = Some((self.ckpt_seq, active.tuple));
+        self.pending_ckpt = Some((self.ckpt_seq, tuple));
         // Synchronous write: the checkpoint is advertised (and counted by
-        // the trim protocol) only once the write completes.
+        // the trim protocol) only once the write completes — for a file
+        // store, once the finished file has been renamed into place.
         ctx.schedule_at(
             receipt.ack_at,
             Timer::with(TIMER_CHECKPOINT_DONE, self.ckpt_seq),
         );
+    }
+
+    /// Refreshes the per-ring acceptor-log gauges (on the gap and trim
+    /// timers, so replicas and pure acceptors both report).
+    fn report_acceptor_logs(&self) {
+        for (ring, (entries, floor)) in &self.acceptor_stats {
+            if let Some(node) = self.rings.get(ring) {
+                entries.set(node.log().len() as i64);
+                floor.set(node.log().trim_floor().raw() as i64);
+            }
+        }
     }
 
     /// First-checkpoint delay: the configured interval plus a
@@ -963,6 +1027,7 @@ impl MultiRingHost {
                         from: peer,
                         tuple: tuple.clone(),
                     };
+                    self.hobs.ckpt_fetches_sent.inc();
                     ctx.send(peer, Msg::Recovery(RecoveryMsg::CheckpointFetch { tuple }));
                 }
                 _ => {
@@ -978,12 +1043,18 @@ impl MultiRingHost {
     fn on_checkpoint_data(&mut self, tuple: CheckpointTuple, state: Bytes, ctx: &mut Ctx<'_>) {
         self.dbg(ctx, &format!("checkpoint_data {tuple}"));
         if let RecoveryPhase::Fetching { tuple: want, .. } = &self.recovery {
-            if *want != tuple {
+            // A peer that no longer retains the requested checkpoint
+            // ships its latest instead; anything at least as fresh as
+            // what we asked for is as good (catch-up replays from its
+            // tuple). Only an older or incomparable one is refused.
+            if !tuple.dominates(want) {
                 return;
             }
             self.install_snapshot(&tuple, &state);
             let now = ctx.now();
-            self.ckpt_store.save(tuple, state, now);
+            if let Err(e) = self.ckpt_store.save(tuple, state, now) {
+                self.dbg(ctx, &format!("fetched checkpoint not saved: {e}"));
+            }
             self.recovery = RecoveryPhase::CatchUp;
             self.step_catch_up(ctx);
         }
@@ -1220,24 +1291,13 @@ impl Process for MultiRingHost {
                     tuple,
                 } => self.on_checkpoint_info(seq, replica, tuple, ctx),
                 RecoveryMsg::CheckpointFetch { tuple } => {
-                    let state = self
-                        .ckpt_store
-                        .get(&tuple)
-                        .cloned()
-                        .or_else(|| self.ckpt_store.latest().map(|(_, s)| s.clone()));
-                    if let Some(state) = state {
-                        let actual = self
-                            .ckpt_store
-                            .get(&tuple)
-                            .map(|_| tuple.clone())
-                            .or_else(|| self.ckpt_store.latest().map(|(t, _)| t.clone()))
-                            .unwrap_or(tuple);
+                    // The exact checkpoint if still retained, else our
+                    // latest (which the requester accepts when it
+                    // dominates what it asked for).
+                    if let Some((tuple, state)) = self.ckpt_store.load(&tuple) {
                         ctx.send(
                             from,
-                            Msg::Recovery(RecoveryMsg::CheckpointData {
-                                tuple: actual,
-                                state,
-                            }),
+                            Msg::Recovery(RecoveryMsg::CheckpointData { tuple, state }),
                         );
                     }
                 }
@@ -1296,6 +1356,9 @@ impl Process for MultiRingHost {
                 if let Some((seq, tuple)) = self.pending_ckpt.take() {
                     if seq == timer.a {
                         self.advertised = Some(tuple);
+                        self.hobs
+                            .ckpt_file_bytes
+                            .set(self.ckpt_store.file_bytes() as i64);
                         // The checkpoint is durable: durability
                         // decorators may prune their logs to the cut
                         // they marked when the snapshot was taken.
@@ -1307,6 +1370,7 @@ impl Process for MultiRingHost {
             }
             TIMER_TRIM => {
                 let ring = RingId::new(timer.a as u16);
+                self.report_acceptor_logs();
                 self.run_trim_round(ring, ctx);
                 if let Some(interval) = self.opts.trim_interval {
                     ctx.schedule(interval, Timer::with(TIMER_TRIM, timer.a));
@@ -1319,6 +1383,7 @@ impl Process for MultiRingHost {
                 // beyond an undelivered gap. Request retransmission from
                 // the acceptors (round-robin).
                 ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
+                self.report_acceptor_logs();
                 if self.recovery.is_recovering() {
                     return; // recovery's own retries handle gaps
                 }
@@ -1356,6 +1421,7 @@ impl Process for MultiRingHost {
                     }
                     RecoveryPhase::Fetching { from, tuple } => {
                         let (from, tuple) = (*from, tuple.clone());
+                        self.hobs.ckpt_fetches_sent.inc();
                         ctx.send(from, Msg::Recovery(RecoveryMsg::CheckpointFetch { tuple }));
                         ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_RECOVERY));
                     }
@@ -1403,11 +1469,7 @@ impl Process for MultiRingHost {
         }
         // Install our most recent durable checkpoint, then look for a
         // fresher one among partition peers.
-        if let Some((tuple, state)) = self
-            .ckpt_store
-            .latest_durable(now)
-            .map(|(t, s)| (t.clone(), s.clone()))
-        {
+        if let Some((tuple, state)) = self.ckpt_store.latest_durable(now) {
             self.install_snapshot(&tuple, &state);
         }
         self.begin_recovery(ctx);

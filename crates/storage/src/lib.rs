@@ -15,13 +15,13 @@
 //!
 //! [`AcceptorLog`] is the vote log with trimming (paper §5.1–5.2);
 //! [`CheckpointStore`] holds replica checkpoints identified by
-//! [`common::msg::CheckpointTuple`]s.
+//! [`common::msg::CheckpointTuple`]s, in memory or as real files.
 
 pub mod checkpoint;
 pub mod log;
 pub mod profile;
 pub mod wal;
 
-pub use checkpoint::{CheckpointFile, CheckpointStore};
+pub use checkpoint::{CheckpointFile, CheckpointStore, CheckpointWriter};
 pub use log::AcceptorLog;
 pub use profile::{DiskProfile, DiskTimeline, StorageMode, WriteReceipt};
